@@ -7,10 +7,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 
 def fmt(value) -> str:
     """Shortest round-trip text for a cell; stable across runs."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, float):
         return repr(value)

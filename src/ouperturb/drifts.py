@@ -25,8 +25,23 @@ class DriftSolverError(RuntimeError):
     """Scalar resolvent solve failed to converge (should never happen)."""
 
 
-def _norm(x):
-    return np.linalg.norm(x, axis=-1)
+def colsum(x):
+    """Sum over the last axis, adding its columns left to right.
+
+    Every d-axis sum, norm and dot product of the stepping loop goes through
+    this one fixed order.  On the short state axis it is several times faster
+    than ``np.sum(x, axis=-1)``, and for fewer than 8 columns it is bitwise
+    equal to it (numpy adds that few terms sequentially too).
+    """
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        out += x[..., j]
+    return out
+
+
+def norm(x):
+    """Euclidean norm over the last axis, summed by :func:`colsum`."""
+    return np.sqrt(colsum(x * x))
 
 
 # ---------------------------------------------------------------------------
@@ -69,28 +84,52 @@ class RadialGrowth:
 
 def solve_radial_scale(growth: RadialGrowth, alpha_eff, r, s0=None, tol=1e-13,
                        max_iter=80):
-    """Solve ``s + alpha_eff * g(s) * s = r`` for ``s >= 0``, vectorized.
+    """Solve ``s + alpha_eff * g(s) * s = r`` for ``s >= 0``, elementwise.
 
-    The left side is increasing and convex in ``s``, so a Newton step from any
-    point below the root lands above it and the iteration then decreases
-    monotonically: convergence is guaranteed.  ``s0`` supplies a warm start.
+    ``alpha_eff`` broadcasts against ``r`` and the result has the broadcast
+    shape; ``s0`` supplies a warm start of that shape.  The left side is
+    increasing and convex in ``s``, so a Newton step from any point below the
+    root lands above it and the iteration then decreases monotonically:
+    convergence is guaranteed.
+
+    Each element stops on its own, at the first iterate whose residual
+    ``h = s + alpha_eff * g(s) * s - r`` satisfies ``|h| <= tol * r``.  The stop
+    is relative, so small norms are solved as accurately as large ones, and
+    per element, so each value depends only on its own ``(r, alpha_eff, s0)``,
+    never on the other elements of the call.
     """
-    r = np.asarray(r, dtype=float)
-    shape = r.shape
-    r = np.atleast_1d(r)
-    alpha_eff = np.broadcast_to(np.asarray(alpha_eff, dtype=float), r.shape)
-    s = np.array(np.broadcast_to(r if s0 is None else s0, r.shape), dtype=float)
-    np.clip(s, 0.0, None, out=s)
-    scale = 1.0 + r
-    for _ in range(max_iter):
-        h = s + alpha_eff * growth(s) * s - r
-        if np.all(np.abs(h) <= tol * scale):
+    shape = np.broadcast(r, alpha_eff).shape
+
+    def flat(v):
+        out = np.empty(shape)
+        out[...] = v
+        return out.ravel()
+
+    ri, ai = flat(r), flat(alpha_eff)
+    s = flat(r if s0 is None else s0)
+    np.maximum(s, 0.0, out=s)
+    live = np.arange(s.size)
+    si = s
+    for it in range(max_iter + 1):
+        g = growth(si)
+        h = si + ai * g * si - ri
+        keep = ~(np.abs(h) <= tol * ri)
+        if not keep.all():
+            s[live[~keep]] = si[~keep]
+            live, si, ri, ai, g, h = (v[keep] for v in (live, si, ri, ai, g, h))
+        if not live.size:
             break
-        hp = 1.0 + alpha_eff * (growth(s) + growth.deriv(s) * s)
-        s = s - h / hp
-        np.clip(s, 0.0, None, out=s)
-    else:
-        raise DriftSolverError("radial resolvent Newton iteration did not converge")
+        if it == max_iter:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = int(np.argmax(np.abs(h) / ri))
+            raise DriftSolverError(
+                f"radial resolvent Newton iteration did not converge in "
+                f"{max_iter} steps ({live.size} of {s.size} elements left); "
+                f"worst: alpha={ai[w]:.6g}, r={ri[w]:.6g}, "
+                f"residual={h[w]:.6g}")
+        hp = 1.0 + ai * (g + growth.deriv(si) * si)
+        si = si - h / hp
+        np.maximum(si, 0.0, out=si)
     return s.reshape(shape)
 
 
@@ -202,16 +241,16 @@ class RadialDrift(Drift):
 
     def minimal_section(self, t, x):
         x = np.asarray(x, dtype=float)
-        return -self.growth(_norm(x))[..., None] * x
+        return -self.growth(norm(x))[..., None] * x
 
     def resolvent(self, t, alpha, x):
         return self.resolvent_warm(t, alpha, x)[0]
 
     def resolvent_warm(self, t, alpha, x, state=None):
         x = np.asarray(x, dtype=float)
-        r = _norm(x)
+        r = norm(x)
         s = solve_radial_scale(self.growth, alpha, r, s0=state)
-        factor = np.divide(s, r, out=np.zeros_like(r), where=r > 0)
+        factor = np.divide(s, r, out=np.zeros_like(s), where=r > 0)
         return factor[..., None] * x, s
 
     def bound(self, r):
@@ -269,16 +308,16 @@ class SaturatingDrift(Drift):
 
     def minimal_section(self, t, x):
         x = np.asarray(x, dtype=float)
-        return -x / (self.eps + _norm(x))[..., None]
+        return -x / (self.eps + norm(x))[..., None]
 
     def resolvent(self, t, alpha, x):
         x = np.asarray(x, dtype=float)
-        r = _norm(x)
-        alpha = np.broadcast_to(np.asarray(alpha, dtype=float), r.shape)
-        # positive root of s^2 + s (eps + alpha - r) - r eps = 0
-        b = r - self.eps - alpha
+        r = norm(x)
+        # positive root of s^2 + s (eps + alpha - r) - r eps = 0, with alpha
+        # broadcast against the norms
+        b = r - self.eps - np.asarray(alpha, dtype=float)
         s = 0.5 * (b + np.sqrt(b * b + 4.0 * self.eps * r))
-        factor = np.divide(s, r, out=np.zeros_like(r), where=r > 0)
+        factor = np.divide(s, r, out=np.zeros_like(s), where=r > 0)
         return factor[..., None] * x
 
     def bound(self, r):
@@ -371,7 +410,7 @@ def resolvent_residual(drift: Drift, t, alpha, x) -> np.ndarray:
     alpha_col = np.asarray(alpha, dtype=float)
     if alpha_col.ndim:
         alpha_col = alpha_col[..., None]
-    return _norm(j - alpha_col * drift.minimal_section(t, j) - x)
+    return norm(j - alpha_col * drift.minimal_section(t, j) - x)
 
 
 @dataclass
@@ -395,14 +434,14 @@ def check_dissipative(drift: Drift, seed: int, n_pairs: int, *, dim: int,
     t = rng.uniform(0.0, t_max, size=n_pairs)
     x1 = scale * rng.standard_normal((n_pairs, dim))
     x2 = scale * rng.standard_normal((n_pairs, dim))
-    gap = np.sum((drift.minimal_section(t, x1) - drift.minimal_section(t, x2))
-                 * (x1 - x2), axis=-1)
+    gap = colsum((drift.minimal_section(t, x1) - drift.minimal_section(t, x2))
+                 * (x1 - x2))
     max_gap = float(np.max(gap)) if n_pairs else 0.0
     ratios = {}
-    denom = _norm(x1 - x2)
+    denom = norm(x1 - x2)
     ok = denom > 1e-12
     for alpha in alphas:
-        diff = _norm(drift.yosida(t, alpha, x1) - drift.yosida(t, alpha, x2))
+        diff = norm(drift.yosida(t, alpha, x1) - drift.yosida(t, alpha, x2))
         ratio = np.divide(diff, denom, out=np.zeros_like(diff), where=ok)
         ratios[alpha] = float(np.max(ratio)) if n_pairs else 0.0
     tol = 1e-9

@@ -5,6 +5,18 @@ of 1e5 paths on 1e4-node grids fit in memory.  Per path, every accumulation
 happens in fixed step order from a per-path generator stream, so results are
 bit-identical for any block size and any worker count.
 
+The regularized states of all alphas form one ``(A, B, d)`` array (alphas,
+paths of the block, modes), and the Girsanov sums and the in-pass diagnostics
+act on the alpha axis at once.  Each step makes one ``resolvent_warm`` call
+per role -- the source path ``w``, the perturbed path ``X`` and the implicit
+step ``y`` -- with alpha as an ``(A, 1)`` column against the ``(A, B)`` norms
+and one ``(A, B)`` warm start per role.  Sums over the mode axis go through
+:func:`drifts.colsum` in a fixed order.  Iterative resolvents stop their
+Newton solve per element (:func:`drifts.solve_radial_scale`), so a path's
+numbers depend neither on the other paths of its block nor on the other
+alphas of the run: that per-element stop is what makes the cubic and
+time-modulated drifts invariant to block size, worker count and alpha set.
+
 One pass can compute, per regularization parameter: change-of-measure
 exponents along both the unperturbed and the perturbed paths, threshold
 stopping times (both transient-envelope variants), node-wise transient and
@@ -20,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .drifts import Drift
+from .drifts import Drift, colsum, norm
 from .girsanov import DensityEnsemble
 from .model import GalerkinModel, regularized_beta, yosida_eigenvalues
 from .ou import PathGrid, path_rng, step_constants
@@ -152,6 +164,8 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     e_bdt = np.exp(-beta * dt)
     alphas = tasks.alphas
     A = len(alphas)
+    alpha_col = np.asarray(alphas, dtype=float)[:, None]   # against (A, B) norms
+    alpha_st = alpha_col[:, :, None]                       # against (A, B, d) states
     integrate = tasks.integrate
     girsanov = tasks.girsanov
     sig = model.sigma_diag
@@ -160,7 +174,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             yosida_eigenvalues(model, tasks.lambda_y)
         flow = np.exp(eig * dt)
     mean_path = np.exp(np.outer(times, model.eigenvalues)) * model.x0
-    mean_norm = np.linalg.norm(mean_path, axis=1)
+    mean_norm = norm(mean_path)
     xn = float(np.linalg.norm(model.x0))
     ebt = np.exp(-beta * times)
     slack = 1.0 + tasks.slack_mult * dt
@@ -171,9 +185,11 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
 
     levels = tasks.tau_levels
     L = len(levels)
-    stops = tasks.stop_zeta_levels
-    Ls = len(stops)
-    stop_idx = {lvl: i for i, lvl in enumerate(stops)}
+    lvl_col = np.asarray(levels, dtype=float)[:, None]
+    Ls = len(tasks.stop_zeta_levels)
+    stop_li = [levels.index(lvl) for lvl in tasks.stop_zeta_levels]
+    cert_li = [levels.index(lvl) for lvl in tasks.cert_levels]
+    cert_lvl = np.asarray(tasks.cert_levels, dtype=float)[:, None, None]
     c = int(np.clip(tasks.n_check_paths - p_lo, 0, B))
     f = int(np.clip(tasks.n_field_paths - p_lo, 0, B))
     stride = tasks.field_stride
@@ -182,9 +198,9 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     s_arr = np.asarray(tasks.s_grid, dtype=float)
     m = s_arr.size
 
-    # mutable state
+    # mutable state; the regularized state of every alpha is one (A, B, d) array
     w0 = np.zeros((B, d))
-    z = [np.tile(model.x0, (B, 1)) for _ in range(A)] if integrate else []
+    z = np.tile(model.x0, (A, B, 1)) if integrate else None
     I1 = np.zeros(B)
     I2 = np.zeros(B)
     a_prev = None
@@ -224,16 +240,14 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
 
     rngs = [path_rng(master_seed, i) for i in range(p_lo, p_hi)]
     buf = np.empty((B, CHUNK_STEPS, 2, d))
-    ws_w = [None] * A   # warm-start states per site
-    ws_x = [None] * A
-    ws_z = [None] * A
+    ws_w = ws_x = ws_z = None   # (A, B) warm-start states, one per role
 
     def node(k):
         nonlocal I1, I2, a_prev, a2_prev
         t = times[k]
-        norm_w0 = np.linalg.norm(w0, axis=1)
+        norm_w0 = norm(w0)
         w_cur = w0 + mean_path[k]
-        norm_w = np.linalg.norm(w_cur, axis=1)
+        norm_w = norm(w_cur)
         np.maximum(runmax_w0, norm_w0, out=runmax_w0)
         np.maximum(runmax_w, norm_w, out=runmax_w)
         if L or c:
@@ -244,99 +258,92 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                 I2 = e_bdt * I2 + 0.5 * dt * (e_bdt * a2_prev + a2_now)
             a_prev, a2_prev = a_now, a2_now
 
-        X = [z[a] + w0 for a in range(A)] if integrate else []
-        normX = [np.linalg.norm(Xa, axis=1) for Xa in X]
+        X = z + w0 if integrate else None
+        normX = norm(X) if integrate else None
 
         if L:
             zs_h = xn * ebt[k] + 0.5 * I1
             zs_f = zs_h + 0.5 * I1
             base = mean_norm[k] + norm_w
-            for li, lvl in enumerate(levels):
-                newly = (~hit_h[li]) & (zs_h + base >= lvl)
-                if newly.any():
-                    tau_h[li, newly] = t
-                    hit_h[li] |= newly
-                newly_f = (~hit_f[li]) & (zs_f + base >= lvl)
-                if newly_f.any():
-                    tau_f[li, newly_f] = t
-                    hit_f[li] |= newly_f
-                if stopped_mart is not None and lvl in stop_idx:
-                    primary_new = newly if tasks.z_star_form == "half" else newly_f
-                    si = stop_idx[lvl]
-                    fresh = primary_new & ~frozen[si]
+            new_h = ~hit_h & (zs_h + base >= lvl_col)
+            tau_h[new_h] = t
+            np.logical_or(hit_h, new_h, out=hit_h)
+            new_f = ~hit_f & (zs_f + base >= lvl_col)
+            tau_f[new_f] = t
+            np.logical_or(hit_f, new_f, out=hit_f)
+            if stopped_mart is not None:
+                primary_new = new_h if tasks.z_star_form == "half" else new_f
+                for si, li in enumerate(stop_li):
+                    fresh = primary_new[li] & ~frozen[si]
                     if fresh.any():
                         frozen[si] |= fresh
-                        for a in range(A):
-                            stopped_mart[si, a, fresh] = zeta_mart[a, fresh]
-                            stopped_quad[si, a, fresh] = zeta_quad[a, fresh]
+                        stopped_mart[si][:, fresh] = zeta_mart[:, fresh]
+                        stopped_quad[si][:, fresh] = zeta_quad[:, fresh]
 
         if c:
             rhs_h = xn * ebt[k] + 0.5 * I1[:c]
             rhs_f = xn * ebt[k] + I1[:c]
             rhs_x = rhs_f + norm_w0[:c]
             rhs_sq = xn * xn * ebt[k] + I2[:c] / beta
-            for a in range(A):
-                zn = np.linalg.norm(z[a][:c], axis=1)
-                for name, lhs, rhs in (("z_half", zn, rhs_h),
-                                       ("z_full", zn, rhs_f),
-                                       ("x_full", normX[a][:c], rhs_x),
-                                       ("gronwall_sq", zn * zn, rhs_sq)):
-                    margin = rhs * slack - lhs
-                    bviol[name][a] += margin < 0
-                    np.minimum(bmarg[name][a], margin, out=bmarg[name][a])
+            zn = norm(z[:, :c])
+            nx = normX[:, :c]
+            for name, lhs, rhs in (("z_half", zn, rhs_h),
+                                   ("z_full", zn, rhs_f),
+                                   ("x_full", nx, rhs_x),
+                                   ("gronwall_sq", zn * zn, rhs_sq)):
+                margin = rhs * slack - lhs
+                bviol[name] += margin < 0
+                np.minimum(bmarg[name], margin, out=bmarg[name])
             if cert:
-                for ci, lvl in enumerate(tasks.cert_levels):
-                    li = levels.index(lvl)
-                    act_h = tau_h[li, :c] >= t - 1e-15
-                    act_f = tau_f[li, :c] >= t - 1e-15
-                    for a in range(A):
-                        nx = normX[a][:c]
-                        cert["half"][ci, a] += act_h & (nx > lvl * slack)
-                        cert["half_raw"][ci, a] += act_h & (nx > lvl)
-                        cert["full"][ci, a] += act_f & (nx > lvl * slack)
-                        cert["full_raw"][ci, a] += act_f & (nx > lvl)
+                act_h = (tau_h[cert_li, :c] >= t - 1e-15)[:, None, :]
+                act_f = (tau_f[cert_li, :c] >= t - 1e-15)[:, None, :]
+                above_slack = nx > cert_lvl * slack
+                above = nx > cert_lvl
+                cert["half"] += act_h & above_slack
+                cert["half_raw"] += act_h & above
+                cert["full"] += act_f & above_slack
+                cert["full_raw"] += act_f & above
             if Wn:
+                # every weight is evaluated once per node on one stacked array:
+                # rows 0-3 hold the right-side arguments (stated 2x, derived
+                # 4x), rows 4.. the left side |X|^2 of each alpha
                 a_rm = np.asarray(drift.bound(runmax_w0[:c]), dtype=float)
+                with np.errstate(over="ignore"):
+                    n2 = norm_w0[:c] ** 2
+                    ab2 = a_rm**2 / beta**2
+                    args = np.concatenate((
+                        [2.0 * n2, 2.0 * ab2, 4.0 * n2, 4.0 * ab2], nx ** 2))
                 for wi, wf in enumerate(weights):
                     with np.errstate(over="ignore"):
-                        n2 = norm_w0[:c] ** 2
-                        ab2 = a_rm**2 / beta**2
-                        rhs = head[wi][k] + 0.5 * wf.value(2.0 * n2) \
-                            + 0.5 * beta * t * wf.value(2.0 * ab2)
-                        rhs4 = head[wi][k] + 0.5 * wf.value(4.0 * n2) \
-                            + 0.5 * beta * t * wf.value(4.0 * ab2)
-                    for a in range(A):
-                        with np.errstate(over="ignore"):
-                            lhs = wf.value(normX[a][:c] ** 2)
-                        finite = np.isfinite(lhs) & np.isfinite(rhs)
-                        wover[wi] += int(np.sum(~finite))
-                        margin = np.where(finite, rhs * slack - lhs, np.inf)
-                        wviol[wi, a] += finite & (margin < 0)
-                        sel = margin < wmarg[wi, a]
-                        if sel.any():
-                            wnode[wi, a, sel] = k
-                            wlhs[wi, a, sel] = lhs[sel]
-                            wrhs[wi, a, sel] = np.broadcast_to(rhs, lhs.shape)[sel]
-                        np.minimum(wmarg[wi, a], margin, out=wmarg[wi, a])
-                        fin4 = np.isfinite(lhs) & np.isfinite(rhs4)
-                        margin4 = np.where(fin4, rhs4 * slack - lhs, np.inf)
-                        wviol4[wi, a] += fin4 & (margin4 < 0)
-                        np.minimum(wmarg4[wi, a], margin4, out=wmarg4[wi, a])
+                        val = wf.value(args)
+                        rhs = head[wi][k] + 0.5 * val[0] + 0.5 * beta * t * val[1]
+                        rhs4 = head[wi][k] + 0.5 * val[2] + 0.5 * beta * t * val[3]
+                    lhs = val[4:]
+                    finite = np.isfinite(lhs) & np.isfinite(rhs)
+                    wover[wi] += int(np.count_nonzero(~finite))
+                    margin = np.where(finite, rhs * slack - lhs, np.inf)
+                    wviol[wi] += finite & (margin < 0)
+                    sel = margin < wmarg[wi]
+                    np.copyto(wnode[wi], k, where=sel)
+                    np.copyto(wlhs[wi], lhs, where=sel)
+                    np.copyto(wrhs[wi], rhs, where=sel)
+                    np.minimum(wmarg[wi], margin, out=wmarg[wi])
+                    fin4 = np.isfinite(lhs) & np.isfinite(rhs4)
+                    margin4 = np.where(fin4, rhs4 * slack - lhs, np.inf)
+                    wviol4[wi] += fin4 & (margin4 < 0)
+                    np.minimum(wmarg4[wi], margin4, out=wmarg4[wi])
 
         if S and k % stride == 0:
             pos = k // stride
-            for a in range(A):
-                fx[a, :, pos] = X[a][:f]
+            fx[:, :, pos] = X[:, :f]
             fw0[:, pos] = w0[:f]
             frm[:, pos] = runmax_w0[:f]
 
         if m:
-            p0c[k] += np.sum(norm_w0[:, None] > s_arr, axis=0)
+            p0c[k] += np.count_nonzero(norm_w0[:, None] > s_arr, axis=0)
 
         if gaps is not None:
-            for a in range(A - 1):
-                np.maximum(gaps[a], np.linalg.norm(z[a] - z[a + 1], axis=1),
-                           out=gaps[a])
+            np.maximum(gaps, norm(z[:-1] - z[1:]), out=gaps)
         return w_cur, X
 
     k = 0
@@ -352,33 +359,28 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             w0_next = decay * w0 + g1 * xi1 + g2 * buf[:, j, 1, :]
             t = times[k]
             if girsanov:
-                for a, alpha in enumerate(alphas):
-                    J, ws_w[a] = drift.resolvent_warm(t, alpha, w_cur, ws_w[a])
-                    v = ((J - w_cur) / alpha) / sig
-                    zeta_mart[a] += np.sum(v * dWk, axis=1)
-                    zeta_quad[a] += np.sum(v * v, axis=1) * dt
-                    if integrate:
-                        Jx, ws_x[a] = drift.resolvent_warm(t, alpha, X[a], ws_x[a])
-                        u = ((Jx - X[a]) / alpha) / sig
-                        rt_mart[a] += np.sum(u * dWk, axis=1)
-                        rt_quad[a] += np.sum(u * u, axis=1) * dt
+                J, ws_w = drift.resolvent_warm(t, alpha_col, w_cur, ws_w)
+                v = ((J - w_cur) / alpha_st) / sig
+                zeta_mart += colsum(v * dWk)
+                zeta_quad += colsum(v * v) * dt
+                if integrate:
+                    Jx, ws_x = drift.resolvent_warm(t, alpha_col, X, ws_x)
+                    u = ((Jx - X) / alpha_st) / sig
+                    rt_mart += colsum(u * dWk)
+                    rt_quad += colsum(u * u) * dt
             if integrate:
-                tn = times[k + 1]
-                for a, alpha in enumerate(alphas):
-                    zp = flow * z[a]
-                    y = zp + w0_next
-                    Jz, ws_z[a] = drift.resolvent_warm(tn, alpha, y, ws_z[a])
-                    z[a] = zp + dt * (Jz - y) / alpha
+                zp = flow * z
+                y = zp + w0_next
+                Jz, ws_z = drift.resolvent_warm(times[k + 1], alpha_col, y, ws_z)
+                z = zp + dt * (Jz - y) / alpha_st
             w0[...] = w0_next
     node(N)
 
     if stopped_mart is not None:
         for si in range(Ls):
             left = ~frozen[si]
-            if left.any():
-                for a in range(A):
-                    stopped_mart[si, a, left] = zeta_mart[a, left]
-                    stopped_quad[si, a, left] = zeta_quad[a, left]
+            stopped_mart[si][:, left] = zeta_mart[:, left]
+            stopped_quad[si][:, left] = zeta_quad[:, left]
 
     return {
         "final_w0": w0.copy(),
@@ -394,7 +396,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         "sup_gaps": gaps,
         "field_x": fx, "field_w0": fw0, "field_runmax": frm,
         "p0_counts": p0c,
-        "z_final": np.stack(z) if integrate and A else None,
+        "z_final": z if integrate and A else None,
     }
 
 

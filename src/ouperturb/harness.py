@@ -52,6 +52,15 @@ class Check:
                 "margin": float(self.margin), "detail": self.detail}
 
 
+def bound_gate(viol: int, worst: float) -> bool:
+    """Pass a bound check only on zero violations and a finite worst margin.
+
+    A NaN margin counts no violation (``NaN < 0`` is False), and a check whose
+    nodes all overflowed keeps an infinite margin; both must FAIL.
+    """
+    return viol == 0 and bool(np.isfinite(worst))
+
+
 @dataclass
 class RunState:
     cfg: ExperimentConfig
@@ -205,7 +214,7 @@ def stage_sweep(state: RunState):
         viol = int(res.bound_viol[name].sum())
         worst = float(res.bound_margin[name].min())
         label = "stated form" if name == "z_half" else ""
-        state.add(Check(f"bounds.{name}", viol == 0, worst,
+        state.add(Check(f"bounds.{name}", bound_gate(viol, worst), worst,
                         f"{viol} node violations over {nc} paths {label}"))
     for form in ("half", "full"):
         viol = int(res.cert_viol[form].sum())
@@ -265,13 +274,13 @@ def stage_phi(state: RunState):
         name = w.kind if w.kind != "power" else f"power{w.p:g}"
         state.emit(f"phi_bounds_{name}.csv",
                    ["path_id", "alpha", "node", "lhs", "rhs", "pass"], rows)
-        state.add(Check(f"phi.bound_{name}", viol == 0, worst,
+        state.add(Check(f"phi.bound_{name}", bound_gate(viol, worst), worst,
                         f"stated form; {viol} node violations, "
                         f"{over} overflow nodes"))
         viol4 = int(res.weight_viol_derived[wi].sum())
-        state.add(Check(f"phi.bound_derived_{name}", viol4 == 0,
-                        float(res.weight_margin_derived[wi].min()),
-                        f"derived form; {viol4} node violations"))
+        worst4 = float(res.weight_margin_derived[wi].min())
+        state.add(Check(f"phi.bound_derived_{name}", bound_gate(viol4, worst4),
+                        worst4, f"derived form; {viol4} node violations"))
 
     # the same bound on the weak-limit candidate fields (both variants)
     if state.candidate is not None:
@@ -281,7 +290,8 @@ def stage_phi(state: RunState):
                     state.candidate, res.field_w0, res.field_runmax,
                     res.snap_times, cfg.model.x0, w, cfg.model.beta,
                     cfg.drift.bound, cfg.grid.dt, k_scale=scale)
-                state.add(Check(f"phi.bound_candidate_{tag}{w.kind}", rep.passed,
+                state.add(Check(f"phi.bound_candidate_{tag}{w.kind}",
+                                bound_gate(rep.violations, rep.worst_margin),
                                 rep.worst_margin,
                                 f"{rep.violations} violations on candidate"))
 

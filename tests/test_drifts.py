@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ouperturb import check_dissipative, make_drift, resolvent_residual
-from ouperturb.drifts import Modulation, RadialGrowth
+from ouperturb.drifts import (DriftSolverError, Modulation, RadialGrowth,
+                              solve_radial_scale)
 
 CUBIC = make_drift("radial", power=2.0)
 LIN = make_drift("radial", coef=1.0, power=0.0)   # F(x) = -x
@@ -116,6 +117,22 @@ def test_resolvent_warm_matches_cold():
     warm2, _ = CUBIC.resolvent_warm(0.0, 0.05, x, state)
     assert np.allclose(cold, warm, atol=1e-14)
     assert np.allclose(cold, warm2, atol=1e-12)
+
+
+def test_solver_error_reports_worst_element():
+    # one Newton step from the cold start s = r cannot meet the stop; the
+    # error names the alpha, radius and residual of the worst element
+    r = np.array([0.5, 40.0])
+    alpha = np.array([0.1, 0.2])
+    with pytest.raises(DriftSolverError) as err:
+        solve_radial_scale(RadialGrowth(), alpha, r, max_iter=1)
+    # the Newton step on s + a s^3 = r from s = r, in closed form
+    s1 = r - alpha * r**3 / (1 + 3 * alpha * r**2)
+    h = s1 + alpha * s1**3 - r
+    assert np.argmax(np.abs(h) / r) == 1
+    msg = str(err.value)
+    for label, v in (("alpha", alpha[1]), ("r", r[1]), ("residual", h[1])):
+        assert f"{label}={v:.6g}" in msg, msg
 
 
 @settings(max_examples=100, deadline=None)

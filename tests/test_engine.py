@@ -1,6 +1,8 @@
 """The streaming runner must agree with the stored-path reference ops and be
 invariant to blocking and worker count."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from ouperturb.weights import check_moment_bound
 
 SAT = make_drift("saturating", eps=1.0)
 CUBIC = make_drift("radial", power=2.0)
+TMOD = make_drift("time_modulated", base_kind="radial",
+                  base_params={"power": 2.0})
 
 TASKS = EnsembleTasks(alphas=(0.1, 0.03), integrate=True, girsanov=True,
                       tau_levels=(0, 1, 2, 3), stop_zeta_levels=(2,),
@@ -77,19 +81,37 @@ def test_engine_sup_gaps_match_stored(model4, grid, pair):
 
 
 def test_engine_blocking_and_worker_invariance(model4, grid):
-    base = run_ensemble(model4, SAT, grid, TASKS, 12, 99)
-    small = run_ensemble(model4, SAT, grid, TASKS, 12, 99, block_size=5)
-    multi = run_ensemble(model4, SAT, grid, TASKS, 12, 99, block_size=4,
-                         n_workers=2)
-    for other in (small, multi):
-        assert np.array_equal(base.final_w0, other.final_w0)
-        assert np.array_equal(base.log_rho(), other.log_rho())
-        assert np.array_equal(base.log_rho_tilde(), other.log_rho_tilde())
-        assert np.array_equal(base.tau_half, other.tau_half)
-        assert np.array_equal(base.p0_counts, other.p0_counts)
-        assert np.array_equal(base.field_x, other.field_x)
+    # the iterative drifts too: each Newton solve stops per element, so a
+    # path's numbers never depend on which paths or alphas share its block
+    for drift in (SAT, CUBIC, TMOD):
+        base = run_ensemble(model4, drift, grid, TASKS, 12, 99)
+        small = run_ensemble(model4, drift, grid, TASKS, 12, 99, block_size=5)
+        multi = run_ensemble(model4, drift, grid, TASKS, 12, 99, block_size=4,
+                             n_workers=2)
+        for other in (small, multi):
+            assert np.array_equal(base.final_w0, other.final_w0)
+            assert np.array_equal(base.log_rho(), other.log_rho())
+            assert np.array_equal(base.log_rho_tilde(), other.log_rho_tilde())
+            assert np.array_equal(base.tau_half, other.tau_half)
+            assert np.array_equal(base.p0_counts, other.p0_counts)
+            assert np.array_equal(base.field_x, other.field_x)
+            for name in base.bound_viol:
+                assert np.array_equal(base.bound_viol[name], other.bound_viol[name])
+
+        # alpha = 0.03 alone reproduces row 1 of the (0.1, 0.03) run
+        one = run_ensemble(model4, drift, grid, replace(TASKS, alphas=(0.03,)),
+                           12, 99)
+        assert np.array_equal(one.log_rho()[0], base.log_rho()[1])
+        assert np.array_equal(one.log_rho_tilde()[0], base.log_rho_tilde()[1])
+        assert np.array_equal(one.stopped_log_rho()[:, 0],
+                              base.stopped_log_rho()[:, 1])
+        assert np.array_equal(one.z_final[0], base.z_final[1])
+        assert np.array_equal(one.field_x[0], base.field_x[1])
+        assert np.array_equal(one.weight_margin[:, 0], base.weight_margin[:, 1])
         for name in base.bound_viol:
-            assert np.array_equal(base.bound_viol[name], other.bound_viol[name])
+            assert np.array_equal(one.bound_viol[name][0], base.bound_viol[name][1])
+            assert np.array_equal(one.bound_margin[name][0],
+                                  base.bound_margin[name][1])
 
 
 def test_engine_p0_counts_match_stored(model4, grid):

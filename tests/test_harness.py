@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ouperturb._util import sha256_file
 from ouperturb.config import ConfigError, load_config, parse_config
+from ouperturb.harness import ensure_ensemble, make_state, stage_phi, stage_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 SMOKE = ROOT / "configs" / "smoke.json"
@@ -112,6 +115,11 @@ def test_zero_drift_run_emits_all_artifacts(zero_run):
     assert "density.csv" in listed and "sweep.csv" in listed
     for f in manifest["files"]:
         assert sha256_file(out / f["name"]) == f["sha256"]
+    # booleans are written 1/0 in every CSV, the phi_bounds pass columns too
+    for name in CSV_FILES:
+        if name.endswith(".csv"):
+            cells = (out / name).read_text().replace("\n", ",").split(",")
+            assert "True" not in cells and "False" not in cells, name
 
 
 def test_zero_drift_density_is_unit(zero_run):
@@ -188,3 +196,52 @@ def test_seed_and_paths_overrides(tmp_path):
     run_cli("simulate", "--config", str(ZERO), "--out", str(out2),
             "--paths", "32", "--seed", "6", "--quiet")
     assert sha256_file(out1 / "moments.csv") != sha256_file(out2 / "moments.csv")
+
+
+# ---------------------------------------------------------------------------
+# gates fail closed
+
+
+@pytest.fixture(scope="module")
+def cached_state(tmp_path_factory):
+    raw = json.loads(ZERO.read_text())
+    raw["mc"]["n_paths"] = 24
+    raw["phi"]["kinds"] = [{"kind": "power", "p": 2.0}]
+    state = make_state(parse_config(raw), out=tmp_path_factory.mktemp("gates"),
+                       n_workers=1, quiet=True)
+    ensure_ensemble(state)
+    return state
+
+
+def run_stage(base, stage, result):
+    state = make_state(base.cfg, out=base.out, n_workers=1, quiet=True)
+    state.result = result
+    stage(state)
+    return {c.id: c for c in state.checks}
+
+
+def with_nan(a):
+    a = a.copy()
+    a.flat[3] = np.nan
+    return a
+
+
+def test_nan_margin_fails_bound_gates(cached_state):
+    # a NaN margin counts no violation (NaN < 0 is False); the gate must
+    # still fail, on the non-finite worst margin
+    res = cached_state.result
+    clean = run_stage(cached_state, stage_sweep, res)
+    assert clean["bounds.z_full"].passed
+    doctored = replace(res, bound_margin={**res.bound_margin,
+                                          "z_full": with_nan(res.bound_margin["z_full"])})
+    checks = run_stage(cached_state, stage_sweep, doctored)
+    assert "0 node violations" in checks["bounds.z_full"].detail
+    assert not checks["bounds.z_full"].passed
+    assert checks["bounds.x_full"].passed
+
+    clean = run_stage(cached_state, stage_phi, res)
+    assert clean["phi.bound_derived_power2"].passed
+    doctored = replace(res, weight_margin_derived=with_nan(res.weight_margin_derived))
+    checks = run_stage(cached_state, stage_phi, doctored)
+    assert "0 node violations" in checks["phi.bound_derived_power2"].detail
+    assert not checks["phi.bound_derived_power2"].passed
