@@ -14,13 +14,10 @@ from .drifts import (L1SubgradientDrift, Modulation, RadialDrift, RadialGrowth,
 from .model import (GalerkinModel, ModelValidationError, semigroup_apply,
                     validate_model, yosida_eigenvalues, yosida_linear)
 from .ou import (PathGrid, SamplePath, fernique_probe, largest_stable_gamma,
-                 ou_moments, sample_ou_path, sample_ou_paths, zero_noise_path)
-from .integrate import (RegularizedSolution, alpha_sweep, assemble_X,
-                        check_pathwise_bound, integrate_Z, stopping_time)
-from .weights import (WeightFunction, check_moment_bound, estimate_constant,
-                      make_weight, noise_functionals)
+                 ou_moments, sample_ou_paths)
+from .weights import WeightFunction, estimate_constant, make_weight
 from .girsanov import (DensityEnsemble, entropy_statistic, martingale_check,
-                       rho_tilde, stopped_moment_bound, zeta)
+                       stopped_moment_bound)
 from .pseudoweak import (BallCompression, TestMeasureGrid, cesaro_limit,
                          limsup_check, weak_gap)
 from .tails import (BumpSumWeight, ClosedFormWeight, EnvelopeWeight,

@@ -14,8 +14,8 @@ def fmt(value) -> str:
     """Shortest round-trip text for a cell; stable across runs."""
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 

@@ -10,7 +10,7 @@ psi kind + delta), ``output`` (directory).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -140,14 +140,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
                               int(yb.get("count", 40)))
     else:
         y_grid = np.asarray([float(v) for v in yb])
-    try:
-        y_min = admissible_y_start(drift.bound, model.inv_sigma_norm, horizon)
-        if y_grid.size and y_grid[0] <= y_min:
-            errors.append(
-                f"girsanov.y_grid: start {y_grid[0]:g} must exceed the "
-                f"admissible threshold {y_min:g}")
-    except Exception:
-        pass
+    y_min = admissible_y_start(drift.bound, model.inv_sigma_norm, horizon)
+    if y_grid.size and y_grid[0] <= y_min:
+        errors.append(
+            f"girsanov.y_grid: start {y_grid[0]:g} must exceed the "
+            f"admissible threshold {y_min:g}")
     psi = gk.get("psi", {"kind": "closed_form", "delta": 0.5})
     psi_kind = psi.get("kind", "closed_form")
     _require(psi_kind in ("closed_form", "bump", "mollified"), errors,

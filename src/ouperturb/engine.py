@@ -28,7 +28,7 @@ exceedance counts for the centered-path tail.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,8 +81,6 @@ class EnsembleTasks:
         for lvl in self.stop_zeta_levels:
             if lvl not in self.tau_levels:
                 raise ValueError("stop-zeta levels must be tracked tau levels")
-        if self.girsanov and self.integrate is False and self.n_field_paths:
-            raise ValueError("fields need integration")
 
 
 @dataclass(eq=False)

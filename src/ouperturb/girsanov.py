@@ -1,4 +1,4 @@
-"""Change-of-measure exponents and density statistics along simulated paths.
+"""Density statistics of the change-of-measure exponents along simulated paths.
 
 Stochastic integrals use left-point (non-anticipating) sums, so the discrete
 stochastic exponential along the unperturbed path is an exact mean-one
@@ -8,70 +8,12 @@ exponentiated inside aggregations, behind overflow masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .drifts import Drift
-from .integrate import RegularizedSolution
 from .model import GalerkinModel
-from .ou import SamplePath
-
-
-def _cutoff(times: np.ndarray, t_end: float | None) -> int:
-    if t_end is None:
-        return times.size - 1
-    k = int(np.searchsorted(times, t_end * (1 + 1e-12), side="right") - 1)
-    if not np.isclose(times[k], t_end, rtol=1e-9, atol=1e-12):
-        raise ValueError(f"t_end={t_end} is not a grid node")
-    return k
-
-
-def zeta_parts(ou_path: SamplePath, drift: Drift, alpha: float,
-               model: GalerkinModel, t_end: float | None = None):
-    """Martingale and quadratic parts of the exponent along the source path.
-
-    Left-point sums over steps ending at or before ``t_end``:
-    ``mart = sum <s^-1 F_alpha(t_k, w_k), dW_k>`` and
-    ``quad = sum |s^-1 F_alpha(t_k, w_k)|^2 dt``.
-    """
-    times = ou_path.grid.times
-    K = _cutoff(times, t_end)
-    w = ou_path.w[:K]
-    v = drift.yosida(times[:K], alpha, w) / model.sigma_diag
-    mart = float(np.sum(v * ou_path.dW[:K]))
-    quad = float(np.sum(v * v) * ou_path.grid.dt)
-    return mart, quad
-
-
-def zeta(ou_path: SamplePath, drift: Drift, alpha: float, model: GalerkinModel,
-         t_end: float | None = None) -> float:
-    """Girsanov exponent: martingale part minus half the quadratic part."""
-    mart, quad = zeta_parts(ou_path, drift, alpha, model, t_end)
-    return mart - 0.5 * quad
-
-
-def log_rho_tilde(solution: RegularizedSolution, drift: Drift, alpha: float,
-                  model: GalerkinModel) -> float:
-    """Log of the transformed density along the perturbed state path.
-
-    Same martingale sum but evaluated on the perturbed states, with the
-    quadratic part entering with a *plus* sign.
-    """
-    path = solution.source
-    times = path.grid.times
-    x = solution.x_path[:-1]
-    u = drift.yosida(times[:-1], alpha, x) / model.sigma_diag
-    mart = float(np.sum(u * path.dW))
-    quad = float(np.sum(u * u) * path.grid.dt)
-    return mart + 0.5 * quad
-
-
-def rho_tilde(solution: RegularizedSolution, drift: Drift, alpha: float,
-              model: GalerkinModel) -> float:
-    """Transformed density; may overflow to ``inf`` (reported, not clipped)."""
-    with np.errstate(over="ignore"):
-        return float(np.exp(log_rho_tilde(solution, drift, alpha, model)))
 
 
 @dataclass(eq=False)

@@ -22,22 +22,18 @@ from .config import ExperimentConfig
 from .engine import EnsembleTasks, run_ensemble
 from .girsanov import (entropy_stability, entropy_statistic, martingale_check,
                        stopped_moment_bound)
-from .integrate import check_pathwise_bound, integrate_Z
-from .model import semigroup_apply
 from .ou import fernique_probe, largest_stable_gamma, ou_moments, sample_ou_paths
 from .pseudoweak import BallCompression, TestMeasureGrid, cesaro_limit, \
     limsup_check, weak_gap
 from .tails import (ClosedFormWeight, EnvelopeWeight, MollifiedWeight,
                     TabulatedTail, admissibility_chain_fit, build_bump_weight,
                     check_weight_integral, p0_from_counts, tail_table)
-from .weights import (check_moment_bound_on_fields, closed_form_constant,
-                      estimate_constant)
+from .weights import check_moment_bound_on_fields, estimate_constant
 
 N_CHECK_PATHS = 1000     # node-wise bound checks cover this prefix
 N_FIELD_PATHS = 48       # strided fields for the weak-limit diagnostics
 N_DUMP_PATHS = 4         # full trajectories dumped to CSV
 GAMMA_GRID = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2)
-STAGES = ("simulate", "sweep", "phi-check", "girsanov", "psi", "report")
 
 
 @dataclass
@@ -568,7 +564,3 @@ def run_stages(state: RunState, stages) -> int:
         status = "check_failures"
     write_manifest(state, status, time.time() - t0)
     return 0 if n_fail == 0 else 1
-
-
-def run_all(state: RunState) -> int:
-    return run_stages(state, STAGES)

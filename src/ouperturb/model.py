@@ -8,7 +8,7 @@ arrays of shape ``(..., dim)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -104,28 +104,6 @@ class SamplePath:
     def w0_running_max(self) -> np.ndarray:
         return np.maximum.accumulate(self.w0_norms())
 
-    @classmethod
-    def inject(cls, grid: PathGrid, *, x0, w0, dW=None, eigenvalues=None,
-               seed_tag=("injected",)):
-        """Build a path from explicit arrays (testing hook)."""
-        x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-        w0 = np.asarray(w0, dtype=float)
-        d = w0.shape[1]
-        if dW is None:
-            dW = np.zeros((grid.n_steps, d))
-        if eigenvalues is None:
-            eigenvalues = np.full(d, -1.0)
-        return cls(grid, x0, w0, np.asarray(dW, dtype=float),
-                   np.asarray(eigenvalues, dtype=float), seed_tag)
-
-
-def zero_noise_path(model: GalerkinModel, grid: PathGrid) -> SamplePath:
-    """Deterministic-flow path: zero noise, so ``w = exp(tA) x0`` exactly."""
-    d = model.dim
-    return SamplePath(grid, model.x0, np.zeros((grid.n_steps + 1, d)),
-                      np.zeros((grid.n_steps, d)), model.eigenvalues.copy(),
-                      ("zero-noise",))
-
 
 def sample_ou_block(model: GalerkinModel, grid: PathGrid, master_seed: int,
                     indices) -> tuple[np.ndarray, np.ndarray]:
@@ -149,14 +127,6 @@ def sample_ou_block(model: GalerkinModel, grid: PathGrid, master_seed: int,
     for k in range(N):
         w0[:, k + 1] = decay * w0[:, k] + conv[:, k]
     return w0, dW
-
-
-def sample_ou_path(model: GalerkinModel, grid: PathGrid, master_seed: int,
-                   path_index: int = 0) -> SamplePath:
-    """Sample one path, exact in distribution at every node."""
-    w0, dW = sample_ou_block(model, grid, master_seed, [path_index])
-    return SamplePath(grid, model.x0, w0[0], dW[0], model.eigenvalues.copy(),
-                      (master_seed, path_index))
 
 
 def sample_ou_paths(model: GalerkinModel, grid: PathGrid, n_paths: int,
@@ -193,13 +163,10 @@ class FerniqueRow:
 def fernique_probe(maxima, gamma_grid) -> list[FerniqueRow]:
     """Empirical exponential moments of the terminal running maximum.
 
-    ``maxima`` is either an array of per-path maxima of the centered norm or a
-    sequence of :class:`SamplePath`.  A row is stable when the estimate is
-    finite with relative standard error below 10%; overflow rows are flagged
-    unstable rather than clipped.
+    ``maxima`` holds the per-path maxima of the centered norm.  A row is
+    stable when the estimate is finite with relative standard error below
+    10%; overflow rows are flagged unstable rather than clipped.
     """
-    if len(maxima) and isinstance(maxima[0], SamplePath):
-        maxima = np.array([p.w0_running_max()[-1] for p in maxima])
     maxima = np.asarray(maxima, dtype=float)
     if maxima.size == 0:
         raise ValueError("fernique probe needs a nonempty ensemble")

@@ -9,7 +9,7 @@ capped separating family of test functionals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

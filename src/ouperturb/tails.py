@@ -10,7 +10,7 @@ closed form ``exp((log(1+y))^delta)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

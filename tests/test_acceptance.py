@@ -23,11 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ouperturb import (GalerkinModel, PathGrid, SamplePath,
-                       check_moment_bound, check_pathwise_bound,
-                       estimate_constant, fernique_probe, integrate_Z,
-                       limsup_check, make_drift, make_weight, martingale_check,
-                       ou_moments, sample_ou_path, stopped_moment_bound,
+from ouperturb import (GalerkinModel, PathGrid, estimate_constant,
+                       fernique_probe, limsup_check, make_drift, make_weight,
+                       martingale_check, ou_moments, stopped_moment_bound,
                        validate_model, wilson_interval)
 from ouperturb.drifts import resolvent_residual
 from ouperturb.engine import EnsembleTasks, run_ensemble
@@ -40,6 +38,7 @@ from ouperturb.tails import (ClosedFormWeight, IdentityWeight,
                              tail_table)
 from ouperturb._util import sha256_file
 from ouperturb.weights import closed_form_constant
+from oracle import check_moment_bound, check_pathwise_bound, inject, integrate_Z
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKERS = min(2, os.cpu_count() or 1)
@@ -235,7 +234,7 @@ def _cx_solution(x0: float, level: float, drift):
         eigenvalues=[-1.0], beta=1.0, sigma_diag=[1.0], horizon=1.0, x0=[x0]))
     w0 = np.full((CX_GRID.n_steps + 1, 1), level)
     w0[0] = 0.0
-    path = SamplePath.inject(CX_GRID, x0=[x0], w0=w0)
+    path = inject(CX_GRID, x0=[x0], w0=w0)
     return model, integrate_Z(model, drift, CX_ALPHA, path)
 
 

@@ -1,16 +1,16 @@
-"""The streaming runner must agree with the stored-path reference ops and be
-invariant to blocking and worker count."""
+"""The streaming runner must agree with the per-path reference
+implementations in ``oracle.py`` and be invariant to blocking and worker
+count."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ouperturb import (PathGrid, check_pathwise_bound, integrate_Z, make_drift,
-                       make_weight, sample_ou_path, stopping_time, zeta)
+from ouperturb import PathGrid, make_drift, make_weight
 from ouperturb.engine import EnsembleTasks, run_ensemble
-from ouperturb.girsanov import log_rho_tilde
-from ouperturb.weights import check_moment_bound
+from oracle import (check_moment_bound, check_pathwise_bound, integrate_Z,
+                    log_rho_tilde, sample_ou_path, stopping_time, zeta)
 
 SAT = make_drift("saturating", eps=1.0)
 CUBIC = make_drift("radial", power=2.0)

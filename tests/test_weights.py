@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from ouperturb import (GalerkinModel, PathGrid, check_moment_bound,
-                       estimate_constant, integrate_Z, make_drift, make_weight,
-                       noise_functionals, sample_ou_path, validate_model,
-                       zero_noise_path)
-from ouperturb.ou import SamplePath
-from ouperturb.weights import WeightFunction, closed_form_constant
+from ouperturb import (GalerkinModel, PathGrid, estimate_constant, make_drift,
+                       make_weight, validate_model)
+from ouperturb.weights import (WeightFunction, check_moment_bound_on_fields,
+                               closed_form_constant)
+from oracle import (check_moment_bound, inject, integrate_Z, noise_functionals,
+                    sample_ou_path, zero_noise_path)
 
 POWER2 = make_weight("power", 2.0)
 EXP = make_weight("exponential")
@@ -182,8 +182,24 @@ def test_moment_bound_exponential_overflow_reported(model4, grid400):
     # inject a path with a huge excursion; overflow must be counted, not hidden
     w0 = np.zeros((grid400.n_steps + 1, 4))
     w0[200:, 0] = 40.0
-    p = SamplePath.inject(grid400, x0=model4.x0, w0=w0,
-                          eigenvalues=model4.eigenvalues)
+    p = inject(grid400, x0=model4.x0, w0=w0, eigenvalues=model4.eigenvalues)
     ks, kd, overflow = noise_functionals(p, EXP, model4.beta,
                                          make_drift("radial", power=2.0).bound)
     assert overflow.size > 0
+
+
+def test_fields_moment_bound_fails_closed():
+    # node 0 holds; node 1: the left side overflows against a finite right
+    # side (margin -inf); node 2: the right side overflows alone (holds);
+    # node 3: both sides overflow (margin NaN)
+    fields = np.array([[[0.0], [30.0], [0.0], [30.0]]])
+    w0 = np.array([[[0.0], [0.0], [30.0], [30.0]]])
+    times = np.array([0.0, 0.1, 0.2, 0.3])
+    bound = make_drift("zero").bound
+    rep = check_moment_bound_on_fields(fields[:, :3], w0[:, :3], np.zeros((1, 3)),
+                                       times[:3], [0.0], EXP, 1.0, bound, 1e-3)
+    assert (rep.violations, rep.worst_margin, rep.overflow_nodes) == (1, -np.inf, 2)
+    rep = check_moment_bound_on_fields(fields, w0, np.zeros((1, 4)), times,
+                                       [0.0], EXP, 1.0, bound, 1e-3)
+    assert rep.violations == 2 and np.isnan(rep.worst_margin)
+    assert rep.overflow_nodes == 3
