@@ -1,8 +1,12 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ouperturb import (BallCompression, GalerkinModel, PathGrid, cesaro_limit,
                        limsup_check, make_drift, sample_ou_paths, validate_model)
+from ouperturb.config import parse_config
 from ouperturb.engine import EnsembleTasks, run_ensemble
 from ouperturb.model import regularized_beta
 from oracle import (check_pathwise_bound, exp_decay_quadrature, integrate_Z,
@@ -13,6 +17,7 @@ ZERO = make_drift("zero")
 CUBIC = make_drift("radial", power=2.0)
 SAT = make_drift("saturating", eps=1.0)
 LIN = make_drift("radial", coef=1.0, power=0.0)
+SMOKE = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
 
 
 def test_zero_drift_is_pure_flow(model4, grid400):
@@ -186,6 +191,21 @@ def test_alpha_sweep_zero_drift_gaps_exactly_zero(model4):
     tasks = EnsembleTasks(alphas=(0.1, 0.05), integrate=True, track_gaps=True)
     res = run_ensemble(model4, ZERO, PathGrid(400, 1.0), tasks, 5, 14)
     assert np.array_equal(res.sup_gaps, np.zeros_like(res.sup_gaps))
+
+
+def test_alpha_sweep_validation():
+    # a sweep needs at least two strictly decreasing alphas; the config
+    # checks the order and count, the engine refuses an empty alpha list
+    grid = PathGrid(100, 1.0)
+    with pytest.raises(ValueError, match="at least one alpha"):
+        EnsembleTasks(alphas=(), integrate=True).validate(grid)
+    raw = json.loads(SMOKE.read_text())
+    raw["sweep"]["alpha_list"] = [0.1]
+    with pytest.raises(ValueError):
+        parse_config(raw)
+    raw["sweep"]["alpha_list"] = [0.05, 0.1]
+    with pytest.raises(ValueError):
+        parse_config(raw)
 
 
 def test_alpha_sweep_candidate_and_limsup(model4):
