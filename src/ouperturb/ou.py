@@ -98,12 +98,6 @@ class SamplePath:
     def running_max(self) -> np.ndarray:
         return np.maximum.accumulate(np.linalg.norm(self.w, axis=1))
 
-    def w0_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.w0, axis=1)
-
-    def w0_running_max(self) -> np.ndarray:
-        return np.maximum.accumulate(self.w0_norms())
-
 
 def sample_ou_block(model: GalerkinModel, grid: PathGrid, master_seed: int,
                     indices) -> tuple[np.ndarray, np.ndarray]:

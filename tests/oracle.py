@@ -57,6 +57,16 @@ def zero_noise_path(model: GalerkinModel, grid: PathGrid) -> SamplePath:
                       ("zero-noise",))
 
 
+def w0_norms(path: SamplePath) -> np.ndarray:
+    """Node-wise norm of the centered path (started at zero)."""
+    return np.linalg.norm(path.w0, axis=1)
+
+
+def w0_running_max(path: SamplePath) -> np.ndarray:
+    """Running maximum of :func:`w0_norms`."""
+    return np.maximum.accumulate(w0_norms(path))
+
+
 def inject(grid: PathGrid, *, x0, w0, dW=None, eigenvalues=None,
            seed_tag=("injected",)) -> SamplePath:
     """Build a path from explicit arrays."""
@@ -170,14 +180,14 @@ def transient_envelopes(model: GalerkinModel, drift: Drift, path: SamplePath,
     beta = regularized_beta(model, lambda_y)
     times = path.grid.times
     dt = path.grid.dt
-    a_vals = drift.bound(path.w0_norms())
+    a_vals = drift.bound(w0_norms(path))
     integ = exp_decay_quadrature(a_vals, beta, dt)
     integ_sq = exp_decay_quadrature(a_vals**2, beta, dt)
     xn = float(np.linalg.norm(x_start))
     decay = np.exp(-beta * times)
     rhs_half = xn * decay + 0.5 * integ
     rhs_full = xn * decay + integ
-    rhs_x = rhs_full + path.w0_norms()
+    rhs_x = rhs_full + w0_norms(path)
     rhs_sq = xn**2 * decay + integ_sq / beta
     return rhs_half, rhs_full, rhs_x, rhs_sq
 
@@ -325,8 +335,8 @@ def noise_functionals(path, w: WeightFunction, beta: float, bound_fn,
     which doubles the arguments once more).  Overflowing values are reported
     through the third return (node indices), never clipped.
     """
-    n0 = path.w0_norms()
-    rm = path.w0_running_max()
+    n0 = w0_norms(path)
+    rm = w0_running_max(path)
     with np.errstate(over="ignore"):
         k_state = w.value(k_scale * n0**2)
         k_drift = w.value(k_scale * np.asarray(bound_fn(rm), dtype=float) ** 2

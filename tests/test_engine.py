@@ -10,7 +10,8 @@ import pytest
 from ouperturb import PathGrid, make_drift, make_weight
 from ouperturb.engine import EnsembleTasks, run_ensemble
 from oracle import (check_moment_bound, check_pathwise_bound, integrate_Z,
-                    log_rho_tilde, sample_ou_path, stopping_time, zeta)
+                    log_rho_tilde, sample_ou_path, stopping_time, w0_norms,
+                    w0_running_max, zeta)
 
 SAT = make_drift("saturating", eps=1.0)
 CUBIC = make_drift("radial", power=2.0)
@@ -68,7 +69,7 @@ def test_engine_fields_match_stored(model4, grid, pair):
     sl = slice(0, grid.n_steps + 1, TASKS.field_stride)
     assert np.allclose(res.field_x[1, 1], sol.x_path[sl], atol=1e-13)
     assert np.allclose(res.field_w0[1], p.w0[sl], atol=0)
-    assert np.allclose(res.field_runmax[1], p.w0_running_max()[sl], atol=0)
+    assert np.allclose(res.field_runmax[1], w0_running_max(p)[sl], atol=0)
 
 
 def test_engine_sup_gaps_match_stored(model4, grid, pair):
@@ -119,7 +120,7 @@ def test_engine_p0_counts_match_stored(model4, grid):
     counts = np.zeros_like(res.p0_counts)
     for pid in range(12):
         p = sample_ou_path(model4, grid, 99, path_index=pid)
-        n0 = p.w0_norms()
+        n0 = w0_norms(p)
         counts += (n0[:, None] > np.asarray(TASKS.s_grid)).astype(np.int64)
     assert np.array_equal(res.p0_counts, counts)
 

@@ -5,7 +5,7 @@ from ouperturb import (GalerkinModel, PathGrid, fernique_probe,
                        largest_stable_gamma, ou_moments, sample_ou_paths,
                        validate_model)
 from ouperturb.ou import step_constants
-from oracle import inject, sample_ou_path, zero_noise_path
+from oracle import inject, sample_ou_path, w0_running_max, zero_noise_path
 
 
 def test_grid_basics():
@@ -105,20 +105,20 @@ def test_coupling_residual_halves_with_dt(model1):
 
 def test_fernique_zero_paths_give_unit_estimate(model4, grid400):
     zero = [zero_noise_path(model4, grid400) for _ in range(10)]
-    rows = fernique_probe([p.w0_running_max()[-1] for p in zero], (0.0, 0.5, 2.0))
+    rows = fernique_probe([w0_running_max(p)[-1] for p in zero], (0.0, 0.5, 2.0))
     assert all(r.estimate == 1.0 and r.stderr == 0.0 for r in rows)
 
 
 def test_fernique_gamma_zero_is_exactly_one(model4, grid400):
     paths = sample_ou_paths(model4, grid400, 50, 17)
-    rows = fernique_probe([p.w0_running_max()[-1] for p in paths], (0.0,))
+    rows = fernique_probe([w0_running_max(p)[-1] for p in paths], (0.0,))
     assert rows[0].estimate == 1.0
 
 
 def test_fernique_moderate_gamma_bracket(model1):
     grid = PathGrid(256, 1.0)
     paths = sample_ou_paths(model1, grid, 20_000, 31)
-    maxima = np.array([p.w0_running_max()[-1] for p in paths])
+    maxima = np.array([w0_running_max(p)[-1] for p in paths])
     rows = fernique_probe(maxima, (0.1,))
     r = rows[0]
     assert 1.0 < r.estimate < 2.0
@@ -135,4 +135,4 @@ def test_inject_and_centered_views(model4, grid400):
     w0 = np.zeros((grid400.n_steps + 1, 4))
     p = inject(grid400, x0=model4.x0, w0=w0, eigenvalues=model4.eigenvalues)
     assert np.allclose(p.w, p.mean_path)
-    assert np.array_equal(p.w0_running_max(), np.zeros(grid400.n_steps + 1))
+    assert np.array_equal(w0_running_max(p), np.zeros(grid400.n_steps + 1))
