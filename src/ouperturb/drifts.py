@@ -39,9 +39,9 @@ def colsum(x):
     return out
 
 
-def norm(x):
+def norm(x, out=None):
     """Euclidean norm over the last axis, summed by :func:`colsum`."""
-    return np.sqrt(colsum(x * x))
+    return np.sqrt(colsum(x * x), out=out)
 
 
 # ---------------------------------------------------------------------------

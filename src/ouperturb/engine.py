@@ -17,6 +17,22 @@ numbers depend neither on the other paths of its block nor on the other
 alphas of the run: that per-element stop is what makes the cubic and
 time-modulated drifts invariant to block size, worker count and alpha set.
 
+Record and flush.  A step runs only what must run in sequence: the exact OU
+step, the Girsanov sums, and the implicit regularized step with its
+warm-started resolvents.  Before each step it records what the diagnostics
+need of the node into chunk buffers: ``|w0|`` and ``|w|`` of every path,
+``|z|`` and ``|X|`` of the checked paths, the adjacent-alpha gaps, and the
+running exponents when stopped exponents are asked for.  Every
+``CHUNK_STEPS`` nodes the buffers are flushed, and each diagnostic folds the
+whole chunk at once along its time axis: running maxima by accumulation,
+first hits by argmax, counts and worst margins by reductions.  The
+exp-decay envelopes ``I1``, ``I2`` are the only recurrences; the flush runs
+them row by row on ``(B,)`` vectors.  Each element goes through the same
+floating-point operations as it would node by node, and min, max and count
+reductions do not depend on order, so no result depends on ``CHUNK_STEPS``.
+The chunk length bounds the buffers and the flush temporaries, which grow
+with it.
+
 One pass can compute, per regularization parameter: change-of-measure
 exponents along both the unperturbed and the perturbed paths, threshold
 stopping times (both transient-envelope variants), node-wise transient and
@@ -38,7 +54,7 @@ from .model import GalerkinModel, regularized_beta, yosida_eigenvalues
 from .ou import PathGrid, path_rng, step_constants
 
 BLOCK_SIZE = 1024
-CHUNK_STEPS = 256
+CHUNK_STEPS = 32     # nodes per noise draw and per diagnostics flush
 
 
 @dataclass(frozen=True)
@@ -151,6 +167,43 @@ class EnsembleResult:
             horizon=self.grid.horizon)
 
 
+def _first_hits(reach, hit, tau, t):
+    """Record the first crossing of each level within one chunk.
+
+    ``reach`` is ``(n, L, B)``: whether each node of the chunk is at or above
+    each level.  A path not hit before the chunk gets ``tau`` = the time of
+    its first reaching node.  Returns the mask of new hits and, per level and
+    path, the chunk row of the first reaching node.
+    """
+    row = reach.argmax(axis=0)
+    new = reach.any(axis=0) & ~hit
+    tau[new] = t[row[new]]
+    hit |= new
+    return new, row
+
+
+def _strict_new_min(margin, best):
+    """Where a chunk's margins set a strict new minimum below ``best``.
+
+    Scanning the rows in order, a node replaces the record when its margin is
+    strictly below every margin before it; a NaN blocks all later
+    replacements, since nothing compares below it.  The row kept is the
+    first attaining the chunk's minimum among the rows before the first NaN.
+    Returns the update mask and that row.
+    """
+    live = ~np.logical_or.accumulate(np.isnan(margin), axis=0)
+    m = np.where(live, margin, np.inf)
+    row = m.argmin(axis=0)
+    return np.take_along_axis(m, row[None], axis=0)[0] < best, row
+
+
+def _fold_margins(margin, viol, worst):
+    """Fold a chunk's ``(n, ...)`` margins into violation counts and the
+    worst margin of each entry (a NaN margin stays the worst)."""
+    viol += np.count_nonzero(margin < 0, axis=0)
+    np.minimum(worst, margin.min(axis=0), out=worst)
+
+
 def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                tasks: EnsembleTasks, master_seed: int, p_lo: int, p_hi: int):
     B, N, d = p_hi - p_lo, grid.n_steps, model.dim
@@ -199,23 +252,17 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     # mutable state; the regularized state of every alpha is one (A, B, d) array
     w0 = np.zeros((B, d))
     z = np.tile(model.x0, (A, B, 1)) if integrate else None
-    I1 = np.zeros(B)
-    I2 = np.zeros(B)
-    a_prev = None
-    a2_prev = None
     runmax_w0 = np.zeros(B)
     runmax_w = np.zeros(B)
-    zeta_mart = np.zeros((A, B)) if girsanov else None
-    zeta_quad = np.zeros((A, B)) if girsanov else None
+    zeta = np.zeros((2, A, B)) if girsanov else None    # martingale, quadratic
+    zeta_mart, zeta_quad = zeta if girsanov else (None, None)
     rt_mart = np.zeros((A, B)) if girsanov and integrate else None
     rt_quad = np.zeros((A, B)) if girsanov and integrate else None
     tau_h = np.full((L, B), grid.horizon)
     tau_f = np.full((L, B), grid.horizon)
     hit_h = np.zeros((L, B), dtype=bool)
     hit_f = np.zeros((L, B), dtype=bool)
-    frozen = np.zeros((Ls, B), dtype=bool)
-    stopped_mart = np.zeros((Ls, A, B)) if (Ls and girsanov) else None
-    stopped_quad = np.zeros((Ls, A, B)) if (Ls and girsanov) else None
+    stopped = np.zeros((Ls, 2, A, B)) if (Ls and girsanov) else None
     bnames = ("z_half", "z_full", "x_full", "gronwall_sq")
     bviol = {n: np.zeros((A, c), dtype=np.int64) for n in bnames} if c else {}
     bmarg = {n: np.full((A, c), np.inf) for n in bnames} if c else {}
@@ -236,125 +283,169 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     frm = np.zeros((f, S)) if S else None
     p0c = np.zeros((N + 1, m), dtype=np.int64) if m else None
 
-    rngs = [path_rng(master_seed, i) for i in range(p_lo, p_hi)]
-    buf = np.empty((B, CHUNK_STEPS, 2, d))
-    ws_w = ws_x = ws_z = None   # (A, B) warm-start states, one per role
+    # chunk buffers: row j holds node chunk_start + j.  The drift bound and
+    # the exp-decay envelopes I1, I2 keep one more row in front, the node
+    # before the chunk, to carry their recurrences across chunks.
+    F = CHUNK_STEPS
+    noise = np.empty((B, F, 2, d))
+    r_nw0 = np.empty((F, B))
+    r_nw = np.empty((F, B))
+    r_nz = np.empty((F, A, c)) if integrate and c else None
+    r_nx = np.empty((F, A, c)) if integrate and c else None
+    r_gap = np.empty((F, A - 1, B)) if gaps is not None else None
+    r_zeta = np.empty((F, 2, A, B)) if stopped is not None else None
+    need_I = bool(L or c)
+    r_a = np.zeros((F + 1, B)) if need_I else None
+    r_I1 = np.zeros((F + 1, B)) if need_I else None
+    r_I2 = np.zeros((F + 1, B)) if c else None
+    cols = np.arange(c)
 
-    def node(k):
-        nonlocal I1, I2, a_prev, a2_prev
-        t = times[k]
-        norm_w0 = norm(w0)
-        w_cur = w0 + mean_path[k]
-        norm_w = norm(w_cur)
-        np.maximum(runmax_w0, norm_w0, out=runmax_w0)
-        np.maximum(runmax_w, norm_w, out=runmax_w)
-        if L or c:
-            a_now = np.asarray(drift.bound(norm_w0), dtype=float)
-            a2_now = a_now * a_now
-            if k > 0:
-                I1 = e_bdt * I1 + 0.5 * dt * (e_bdt * a_prev + a_now)
-                I2 = e_bdt * I2 + 0.5 * dt * (e_bdt * a2_prev + a2_now)
-            a_prev, a2_prev = a_now, a2_now
+    # each diagnostic below reads the chunk buffers of nodes s .. s+n-1 and
+    # folds them into its accumulators; as functions, their (n, ...)
+    # temporaries are freed one diagnostic at a time
 
-        X = z + w0 if integrate else None
-        normX = norm(X) if integrate else None
+    def envelopes(s, n, nw0):
+        """I1 and, for the checked paths, I2 at the chunk's nodes.
 
+        ``I_k = e^{-beta dt} I_{k-1} + dt/2 (e^{-beta dt} a_{k-1} + a_k)``,
+        ``I_0 = 0``, with ``a = drift.bound(|w0|)`` (squared for I2): the
+        only recurrences among the diagnostics, run row by row.
+        """
+        r_a[1:n + 1] = drift.bound(nw0)
+        first = 1 if s == 0 else 0
+        for r_I, a_rows in zip((r_I1, r_I2), (r_a, r_a * r_a) if c else (r_a,)):
+            inc = 0.5 * dt * (e_bdt * a_rows[:n] + a_rows[1:n + 1])
+            for j in range(first, n):
+                np.multiply(r_I[j], e_bdt, out=r_I[j + 1])
+                r_I[j + 1] += inc[j]
+            r_I[0] = r_I[n]
+        r_a[0] = r_a[n]
+        return r_I1[1:n + 1], (r_I2[1:n + 1, :c] if c else None)
+
+    def stopping_times(s, n, t, I1, nw):
+        zs_h = (xn * ebt[s:s + n])[:, None] + 0.5 * I1
+        zs_f = zs_h + 0.5 * I1
+        base = mean_norm[s:s + n, None] + nw
+        new_h, row_h = _first_hits((zs_h + base)[:, None] >= lvl_col, hit_h, tau_h, t)
+        new_f, row_f = _first_hits((zs_f + base)[:, None] >= lvl_col, hit_f, tau_f, t)
+        if stopped is None:
+            return
+        # freeze the exponents of the new hits at their hitting node
+        new, row = (new_h, row_h) if tasks.z_star_form == "half" else (new_f, row_f)
+        for si, li in enumerate(stop_li):
+            idx = np.flatnonzero(new[li])
+            if idx.size:
+                stopped[si][..., idx] = np.moveaxis(r_zeta[row[li, idx], ..., idx], 0, -1)
+
+    def bound_checks(s, n, I1, I2, nw0):
+        nz, nx = r_nz[:n], r_nx[:n]
+        e_x = (xn * ebt[s:s + n])[:, None]
+        I1 = I1[:, :c]
+        rhs_f = e_x + I1
+        for name, lhs, rhs in (
+                ("z_half", nz, e_x + 0.5 * I1),
+                ("z_full", nz, rhs_f),
+                ("x_full", nx, rhs_f + nw0[:, :c]),
+                ("gronwall_sq", nz * nz, (xn * xn * ebt[s:s + n])[:, None] + I2 / beta)):
+            _fold_margins((rhs * slack)[:, None] - lhs, bviol[name], bmarg[name])
+
+    def certificates(t, nx):
+        # tau after the chunk's update: a path hit at row r has tau = t[r] >=
+        # every earlier node, so the test matches the node-by-node one, which
+        # saw tau = horizon before the hit
+        lim = (t - 1e-15)[:, None, None]
+        act_h = (tau_h[cert_li, :c] >= lim)[:, :, None]
+        act_f = (tau_f[cert_li, :c] >= lim)[:, :, None]
+        above_slack = nx[:, None] > cert_lvl * slack
+        above = nx[:, None] > cert_lvl
+        cert["half"] += np.count_nonzero(act_h & above_slack, axis=0)
+        cert["half_raw"] += np.count_nonzero(act_h & above, axis=0)
+        cert["full"] += np.count_nonzero(act_f & above_slack, axis=0)
+        cert["full_raw"] += np.count_nonzero(act_f & above, axis=0)
+
+    def weight_check(wi, s, t, n2, ab2, x2):
+        wf = weights[wi]
+        hd = head[wi][s:s + len(t), None]
+        bt = (0.5 * beta * t)[:, None]
+        with np.errstate(over="ignore"):
+            rhs = hd + 0.5 * wf.value(2.0 * n2) + bt * wf.value(2.0 * ab2)
+            rhs4 = hd + 0.5 * wf.value(4.0 * n2) + bt * wf.value(4.0 * ab2)
+            lhs = wf.value(x2)
+        lhs_ok = np.isfinite(lhs)
+        finite = lhs_ok & np.isfinite(rhs)[:, None]
+        wover[wi] += finite.size - np.count_nonzero(finite)
+        margin = np.where(finite, (rhs * slack)[:, None] - lhs, np.inf)
+        upd, row = _strict_new_min(margin, wmarg[wi])
+        wnode[wi][upd] = s + row[upd]
+        wlhs[wi][upd] = np.take_along_axis(lhs, row[None], axis=0)[0][upd]
+        wrhs[wi][upd] = rhs[row, cols][upd]
+        _fold_margins(margin, wviol[wi], wmarg[wi])
+        del margin
+        fin4 = lhs_ok & np.isfinite(rhs4)[:, None]
+        _fold_margins(np.where(fin4, (rhs4 * slack)[:, None] - lhs, np.inf),
+                      wviol4[wi], wmarg4[wi])
+
+    def flush(s, n):
+        t = times[s:s + n]
+        nw0, nw = r_nw0[:n], r_nw[:n]
+        rm = np.maximum.accumulate(nw0, axis=0)
+        np.maximum(rm, runmax_w0, out=rm)
+        runmax_w0[...] = rm[-1]
+        np.maximum(runmax_w, nw.max(axis=0), out=runmax_w)
+        if need_I:
+            I1, I2 = envelopes(s, n, nw0)
         if L:
-            zs_h = xn * ebt[k] + 0.5 * I1
-            zs_f = zs_h + 0.5 * I1
-            base = mean_norm[k] + norm_w
-            new_h = ~hit_h & (zs_h + base >= lvl_col)
-            tau_h[new_h] = t
-            np.logical_or(hit_h, new_h, out=hit_h)
-            new_f = ~hit_f & (zs_f + base >= lvl_col)
-            tau_f[new_f] = t
-            np.logical_or(hit_f, new_f, out=hit_f)
-            if stopped_mart is not None:
-                primary_new = new_h if tasks.z_star_form == "half" else new_f
-                for si, li in enumerate(stop_li):
-                    fresh = primary_new[li] & ~frozen[si]
-                    if fresh.any():
-                        frozen[si] |= fresh
-                        stopped_mart[si][:, fresh] = zeta_mart[:, fresh]
-                        stopped_quad[si][:, fresh] = zeta_quad[:, fresh]
-
+            stopping_times(s, n, t, I1, nw)
         if c:
-            rhs_h = xn * ebt[k] + 0.5 * I1[:c]
-            rhs_f = xn * ebt[k] + I1[:c]
-            rhs_x = rhs_f + norm_w0[:c]
-            rhs_sq = xn * xn * ebt[k] + I2[:c] / beta
-            zn = norm(z[:, :c])
-            nx = normX[:, :c]
-            for name, lhs, rhs in (("z_half", zn, rhs_h),
-                                   ("z_full", zn, rhs_f),
-                                   ("x_full", nx, rhs_x),
-                                   ("gronwall_sq", zn * zn, rhs_sq)):
-                margin = rhs * slack - lhs
-                bviol[name] += margin < 0
-                np.minimum(bmarg[name], margin, out=bmarg[name])
+            bound_checks(s, n, I1, I2, nw0)
             if cert:
-                act_h = (tau_h[cert_li, :c] >= t - 1e-15)[:, None, :]
-                act_f = (tau_f[cert_li, :c] >= t - 1e-15)[:, None, :]
-                above_slack = nx > cert_lvl * slack
-                above = nx > cert_lvl
-                cert["half"] += act_h & above_slack
-                cert["half_raw"] += act_h & above
-                cert["full"] += act_f & above_slack
-                cert["full_raw"] += act_f & above
+                certificates(t, r_nx[:n])
             if Wn:
-                # every weight is evaluated once per node on one stacked array:
-                # rows 0-3 hold the right-side arguments (stated 2x, derived
-                # 4x), rows 4.. the left side |X|^2 of each alpha
-                a_rm = np.asarray(drift.bound(runmax_w0[:c]), dtype=float)
+                a_rm = np.asarray(drift.bound(rm[:, :c]), dtype=float)
                 with np.errstate(over="ignore"):
-                    n2 = norm_w0[:c] ** 2
+                    n2 = nw0[:, :c] ** 2
                     ab2 = a_rm**2 / beta**2
-                    args = np.concatenate((
-                        [2.0 * n2, 2.0 * ab2, 4.0 * n2, 4.0 * ab2], nx ** 2))
-                for wi, wf in enumerate(weights):
-                    with np.errstate(over="ignore"):
-                        val = wf.value(args)
-                        rhs = head[wi][k] + 0.5 * val[0] + 0.5 * beta * t * val[1]
-                        rhs4 = head[wi][k] + 0.5 * val[2] + 0.5 * beta * t * val[3]
-                    lhs = val[4:]
-                    finite = np.isfinite(lhs) & np.isfinite(rhs)
-                    wover[wi] += int(np.count_nonzero(~finite))
-                    margin = np.where(finite, rhs * slack - lhs, np.inf)
-                    wviol[wi] += finite & (margin < 0)
-                    sel = margin < wmarg[wi]
-                    np.copyto(wnode[wi], k, where=sel)
-                    np.copyto(wlhs[wi], lhs, where=sel)
-                    np.copyto(wrhs[wi], rhs, where=sel)
-                    np.minimum(wmarg[wi], margin, out=wmarg[wi])
-                    fin4 = np.isfinite(lhs) & np.isfinite(rhs4)
-                    margin4 = np.where(fin4, rhs4 * slack - lhs, np.inf)
-                    wviol4[wi] += fin4 & (margin4 < 0)
-                    np.minimum(wmarg4[wi], margin4, out=wmarg4[wi])
-
-        if S and k % stride == 0:
-            pos = k // stride
-            fx[:, :, pos] = X[:, :f]
-            fw0[:, pos] = w0[:f]
-            frm[:, pos] = runmax_w0[:f]
-
+                    x2 = r_nx[:n] ** 2
+                for wi in range(Wn):
+                    weight_check(wi, s, t, n2, ab2, x2)
+        if S:
+            ks = np.arange(s + (-s) % stride, s + n, stride)
+            frm[:, ks // stride] = rm[ks - s, :f].T
         if m:
-            p0c[k] += np.count_nonzero(norm_w0[:, None] > s_arr, axis=0)
-
+            p0c[s:s + n] += np.count_nonzero(nw0[:, :, None] > s_arr, axis=1)
         if gaps is not None:
-            np.maximum(gaps, norm(z[:-1] - z[1:]), out=gaps)
-        return w_cur, X
+            np.maximum(gaps, r_gap[:n].max(axis=0), out=gaps)
 
-    k = 0
-    for chunk_start in range(0, N, CHUNK_STEPS):
-        clen = min(CHUNK_STEPS, N - chunk_start)
+    rngs = [path_rng(master_seed, i) for i in range(p_lo, p_hi)]
+    ws_w = ws_x = ws_z = None   # (A, B) warm-start states, one per role
+    for s in range(0, N + 1, F):
+        n = min(F, N + 1 - s)       # nodes s .. s+n-1; node N takes no step
         for b, rng in enumerate(rngs):
-            rng.standard_normal(out=buf[b, :clen])
-        for j in range(clen):
-            k = chunk_start + j
-            w_cur, X = node(k)
-            xi1 = buf[:, j, 0, :]
+            rng.standard_normal(out=noise[b, :min(n, N - s)])
+        for j in range(n):
+            k = s + j
+            # record what the diagnostics need of node k
+            norm(w0, out=r_nw0[j])
+            w_cur = w0 + mean_path[k]
+            norm(w_cur, out=r_nw[j])
+            if integrate:
+                X = z + w0
+                if c:
+                    norm(z[:, :c], out=r_nz[j])
+                    norm(X[:, :c], out=r_nx[j])
+                if gaps is not None:
+                    norm(z[:-1] - z[1:], out=r_gap[j])
+                if S and k % stride == 0:
+                    fx[:, :, k // stride] = X[:, :f]
+                    fw0[:, k // stride] = w0[:f]
+            if r_zeta is not None:
+                r_zeta[j] = zeta
+            if k == N:
+                break
+            # step k -> k+1
+            xi1 = noise[:, j, 0, :]
             dWk = sq * xi1
-            w0_next = decay * w0 + g1 * xi1 + g2 * buf[:, j, 1, :]
+            w0_next = decay * w0 + g1 * xi1 + g2 * noise[:, j, 1, :]
             t = times[k]
             if girsanov:
                 J, ws_w = drift.resolvent_warm(t, alpha_col, w_cur, ws_w)
@@ -372,13 +463,13 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                 Jz, ws_z = drift.resolvent_warm(times[k + 1], alpha_col, y, ws_z)
                 z = zp + dt * (Jz - y) / alpha_st
             w0[...] = w0_next
-    node(N)
+        flush(s, n)
 
-    if stopped_mart is not None:
-        for si in range(Ls):
-            left = ~frozen[si]
-            stopped_mart[si][:, left] = zeta_mart[:, left]
-            stopped_quad[si][:, left] = zeta_quad[:, left]
+    if stopped is not None:
+        hit = hit_h if tasks.z_star_form == "half" else hit_f
+        for si, li in enumerate(stop_li):
+            left = ~hit[li]
+            stopped[si][..., left] = zeta[..., left]
 
     return {
         "final_w0": w0.copy(),
@@ -386,7 +477,8 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         "zeta_mart": zeta_mart, "zeta_quad": zeta_quad,
         "rt_mart": rt_mart, "rt_quad": rt_quad,
         "tau_half": tau_h if L else None, "tau_full": tau_f if L else None,
-        "stopped_mart": stopped_mart, "stopped_quad": stopped_quad,
+        "stopped_mart": stopped[:, 0] if stopped is not None else None,
+        "stopped_quad": stopped[:, 1] if stopped is not None else None,
         "bound_viol": bviol, "bound_margin": bmarg, "cert_viol": cert,
         "weight_viol": wviol, "weight_margin": wmarg, "weight_overflow": wover,
         "weight_node": wnode, "weight_lhs": wlhs, "weight_rhs": wrhs,

@@ -301,12 +301,14 @@ def stage_phi(state: RunState):
     worst_excess = -np.inf
     closed_bad = 0
     for w in cfg.weights:
+        triples = []
         for _ in range(200):
             c = float(rng.uniform(0.01, 3.0))
             beta = float(rng.uniform(0.3, 2.0))
             bmax = beta * min(w.ratio_limit, 4.0)
-            B = float(rng.uniform(1e-3, 0.95 * bmax))
-            est = estimate_constant(w, c, beta, B)
+            triples.append((c, beta, float(rng.uniform(1e-3, 0.95 * bmax))))
+        for (c, beta, B), est in zip(triples,
+                                     estimate_constant(w, *np.array(triples).T)):
             u0 = max(c**2 / beta**2, c**2 / (4 * (beta - B) ** 2)) \
                 if B < beta else c**2 / beta**2
             grid = np.linspace(0.0, 10.0 * max(u0, 1e-9), 4001)

@@ -111,55 +111,80 @@ def _objective(w: WeightFunction, c: float, beta: float, B: float, u):
     return np.where(np.isnan(f), -np.inf, f)
 
 
-def estimate_constant(w: WeightFunction, c: float, beta: float, B: float,
-                      grid_points: int = 4096) -> EstimateConstant:
+def estimate_constant(w: WeightFunction, c, beta, B, grid_points: int = 4096):
     """Sharp constant dominating ``w'(u)(c*sqrt(u) - beta*u) + B*w(u)``.
 
     Requires ``0 < B < beta * ratio_limit`` (any positive ``B`` when the
-    limit is infinite).  Dense grid search over an expanding bracket, then
-    golden-section refinement around the best cell.
+    limit is infinite).  Dense grid search over an expanding bracket, one
+    triple at a time, then golden-section refinement around the best cell.
+
+    Scalar ``c``, ``beta``, ``B`` give one :class:`EstimateConstant`.  1-D
+    arrays, broadcast together, give a list with one per element: the
+    refinement then runs for all of them at once, each element stopping on
+    its own, so every entry is bit-identical to the scalar call.
     """
-    if c < 0 or beta <= 0 or B <= 0:
-        raise ValueError("need c >= 0, beta > 0, B > 0")
+    cs, betas, Bs = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (c, beta, B)))
+    if cs.ndim > 1:
+        raise ValueError("c, beta and B must be scalars or 1-D arrays")
+    scalar = cs.ndim == 0
+    cs, betas, Bs = (np.atleast_1d(v) for v in (cs, betas, Bs))
     L = w.ratio_limit
-    if np.isfinite(L) and not B < beta * L:
-        raise ValueError(f"need B < beta * {L} = {beta * L}, got B={B}")
+    n = cs.size
+    lo, up, bracket, grid_max = (np.empty(n) for _ in range(4))
+    for i in range(n):
+        ci, bi, Bi = float(cs[i]), float(betas[i]), float(Bs[i])
+        if ci < 0 or bi <= 0 or Bi <= 0:
+            raise ValueError("need c >= 0, beta > 0, B > 0")
+        if np.isfinite(L) and not Bi < bi * L:
+            raise ValueError(f"need B < beta * {L} = {bi * L}, got B={Bi}")
+        u0 = max(ci**2 / bi**2, ci**2 / (4.0 * (bi - Bi) ** 2)) if Bi < bi \
+            else ci**2 / bi**2
+        hi = max(u0, 1.0)
+        for _ in range(200):
+            grid = np.linspace(0.0, hi, grid_points)
+            vals = _objective(w, ci, bi, Bi, grid)
+            k = int(np.argmax(vals))
+            if k < grid_points - int(0.02 * grid_points) - 1:
+                break
+            hi *= 2.0
+        else:
+            raise RuntimeError("estimate constant bracket expansion failed")
+        lo[i] = grid[max(k - 1, 0)]
+        up[i] = grid[min(k + 1, grid_points - 1)]
+        bracket[i] = hi
+        grid_max[i] = np.max(vals)
 
-    u0 = max(c**2 / beta**2, c**2 / (4.0 * (beta - B) ** 2)) if B < beta \
-        else c**2 / beta**2
-    hi = max(u0, 1.0)
-    for _ in range(200):
-        grid = np.linspace(0.0, hi, grid_points)
-        vals = _objective(w, c, beta, B, grid)
-        k = int(np.argmax(vals))
-        if k < grid_points - int(0.02 * grid_points) - 1:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError("estimate constant bracket expansion failed")
-
-    lo_u = grid[max(k - 1, 0)]
-    hi_u = grid[min(k + 1, grid_points - 1)]
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo_u, hi_u
+    a, b = lo, up
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1 = float(_objective(w, c, beta, B, np.array(x1)))
-    f2 = float(_objective(w, c, beta, B, np.array(x2)))
-    while b - a > 1e-12 * max(1.0, b):
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = float(_objective(w, c, beta, B, np.array(x1)))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = float(_objective(w, c, beta, B, np.array(x2)))
+    f1 = _objective(w, cs, betas, Bs, x1)
+    f2 = _objective(w, cs, betas, Bs, x2)
+    while True:
+        live = b - a > 1e-12 * np.maximum(1.0, b)
+        if not live.any():
+            break
+        left = live & (f1 >= f2)        # keep [a, x2]
+        right = live & ~(f1 >= f2)      # keep [x1, b]
+        b = np.where(left, x2, b)
+        a = np.where(right, x1, a)
+        x1, x2 = np.where(right, x2, x1), np.where(left, x1, x2)
+        f1, f2 = np.where(right, f2, f1), np.where(left, f1, f2)
+        x1 = np.where(left, b - invphi * (b - a), x1)
+        x2 = np.where(right, a + invphi * (b - a), x2)
+        f_new = _objective(w, cs, betas, Bs, np.where(left, x1, x2))
+        f1 = np.where(left, f_new, f1)
+        f2 = np.where(right, f_new, f2)
     u_star = 0.5 * (a + b)
-    value = float(max(np.max(vals), _objective(w, c, beta, B, np.array(u_star))))
+    f_star = _objective(w, cs, betas, Bs, u_star)
+    value = np.where(f_star > grid_max, f_star, grid_max)
 
-    closed, upper = closed_form_constant(w, c, beta, B)
-    return EstimateConstant(value, float(hi), float(u_star), closed, upper)
+    out = [EstimateConstant(float(value[i]), float(bracket[i]), float(u_star[i]),
+                            *closed_form_constant(w, float(cs[i]), float(betas[i]),
+                                                  float(Bs[i])))
+           for i in range(n)]
+    return out[0] if scalar else out
 
 
 def closed_form_constant(w: WeightFunction, c: float, beta: float, B: float):

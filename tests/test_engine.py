@@ -2,12 +2,12 @@
 implementations in ``oracle.py`` and be invariant to blocking and worker
 count."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ouperturb import PathGrid, make_drift, make_weight
+from ouperturb import PathGrid, engine, make_drift, make_weight
 from ouperturb.engine import EnsembleTasks, run_ensemble
 from oracle import (check_moment_bound, check_pathwise_bound, integrate_Z,
                     log_rho_tilde, sample_ou_path, stopping_time, w0_norms,
@@ -113,6 +113,41 @@ def test_engine_blocking_and_worker_invariance(model4, grid):
             assert np.array_equal(one.bound_viol[name][0], base.bound_viol[name][1])
             assert np.array_equal(one.bound_margin[name][0],
                                   base.bound_margin[name][1])
+
+
+def result_arrays(res):
+    """Every array of an ``EnsembleResult``, by field (and dict key)."""
+    out = {}
+    for fd in fields(res):
+        v = getattr(res, fd.name)
+        if isinstance(v, np.ndarray):
+            out[fd.name] = v
+        elif isinstance(v, dict):
+            out.update({f"{fd.name}.{k}": a for k, a in v.items()})
+    return out
+
+
+def test_engine_chunk_length_invariance(model4, grid, monkeypatch):
+    # diagnostics are evaluated per flushed chunk; the chunk boundaries must
+    # not show in any result, including the first-hit times, the stopped
+    # exponents, the certificates and the node of each weight's worst margin
+    tasks = replace(TASKS, weights=(make_weight("power", 2.0),
+                                    make_weight("exponential"),
+                                    make_weight("xlog")))
+    runs = {}
+    for chunk in (1, 7, engine.CHUNK_STEPS):
+        assert chunk == 1 or (grid.n_steps % chunk and (grid.n_steps + 1) % chunk)
+        monkeypatch.setattr(engine, "CHUNK_STEPS", chunk)
+        runs[chunk] = result_arrays(run_ensemble(model4, CUBIC, grid, tasks, 12, 99))
+    base = runs.pop(1)
+    for name in ("weight_node", "weight_lhs", "weight_rhs", "stopped_mart",
+                 "stopped_quad", "cert_viol.half", "cert_viol.full_raw",
+                 "p0_counts", "field_runmax", "w0_max", "tau_full"):
+        assert name in base
+    for other in runs.values():
+        assert other.keys() == base.keys()
+        for name, a in base.items():
+            assert np.array_equal(a, other[name]), name
 
 
 def test_engine_p0_counts_match_stored(model4, grid):

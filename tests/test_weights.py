@@ -105,6 +105,26 @@ def test_constant_dominates_on_random_triples():
             assert np.max(f) <= r.value * (1 + 1e-9) + 1e-300
 
 
+def test_constant_batch_equals_scalar_calls():
+    # one batched call refines every triple at once with a per-element stop;
+    # each entry must be the scalar call's result bit for bit, bracket
+    # expansion (B >= beta, exponential weight) included
+    rng = np.random.default_rng(21)
+    for w in (POWER2, XLOG, EXP):
+        c = rng.uniform(0.0, 3.0, 40)
+        beta = rng.uniform(0.3, 2.0, 40)
+        B = beta * rng.uniform(1e-3, 0.95 * min(w.ratio_limit, 4.0), 40)
+        batch = estimate_constant(w, c, beta, B)
+        assert len(batch) == 40
+        scalar = [estimate_constant(w, float(ci), float(bi), float(Bi))
+                  for ci, bi, Bi in zip(c, beta, B)]
+        assert all(isinstance(one.value, float) for one in scalar)
+        assert batch == scalar
+    expanded = [one.u_bracket > max(ci**2 / bi**2, 1.0)
+                for ci, bi, Bi, one in zip(c, beta, B, scalar) if Bi >= bi]
+    assert any(expanded)        # the last weight is the exponential
+
+
 def test_closed_form_xlog_is_upper_bound():
     val, upper = closed_form_constant(XLOG, 1.5, 1.0, 0.4)
     assert upper
