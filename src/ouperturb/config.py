@@ -68,6 +68,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sig = mb.get("sigma_diag", 1.0)
     if isinstance(sig, (int, float)):
         sig = [float(sig)] * dim
+    elif np.size(sig) != np.size(eig):
+        errors.append(f"model.sigma_diag: length {np.size(sig)}, expected one "
+                      f"entry per mode ({np.size(eig)})")
+        sig = 1.0
     x0 = mb.get("x0", 0.0)
     if isinstance(x0, (int, float)):
         x0 = [float(x0)] * dim

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ouperturb import cli
 from ouperturb._util import fmt, sha256_file
 from ouperturb.config import ConfigError, load_config, parse_config
 from ouperturb.harness import ensure_ensemble, make_state, stage_phi, stage_sweep
@@ -79,6 +80,17 @@ def test_config_rejects_increasing_alphas():
     raw["sweep"]["alpha_list"] = [0.1]
     with pytest.raises(ConfigError, match="need >= 2 entries"):
         parse_config(raw)
+
+
+def test_config_rejects_sigma_diag_length(tmp_path):
+    raw = json.loads(SMOKE.read_text())
+    for sig in ([1.0, 1.0], []):
+        raw["model"]["sigma_diag"] = sig
+        with pytest.raises(ConfigError, match="sigma_diag"):
+            parse_config(raw)
+    bad = tmp_path / "bad_sigma.json"
+    bad.write_text(json.dumps(raw))
+    assert cli.main(["all", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
 def test_config_bound_echo_must_match():
