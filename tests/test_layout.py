@@ -1,9 +1,14 @@
-"""Source layout checks on the shipped package, read with the stdlib ``ast``."""
+"""Source layout checks on the shipped package, read with the stdlib ``ast``,
+and the names the benchmark's tracer patches by lookup."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ouperturb"
+from ouperturb import engine, girsanov, harness
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ouperturb"
 
 
 def unused_imports(source: str) -> list:
@@ -31,3 +36,17 @@ def test_no_unused_imports_in_package():
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
              for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_traced_names_exist():
+    # perfbench/tracer.py replaces these names where their callers look them
+    # up; a rename or a dropped import would silently untime a layer
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [n for group in tracer.HARNESS_SPANS.values() for n in group]
+    missing = [n for n in names + ["write_csv"] if not hasattr(harness, n)]
+    assert not missing, f"not in ouperturb.harness: {missing}"
+    assert callable(engine.run_ensemble)
+    assert callable(girsanov.martingale_check)
