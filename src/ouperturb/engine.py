@@ -127,6 +127,7 @@ class EnsembleResult:
     weight_rhs: np.ndarray | None = None
     weight_viol_derived: np.ndarray | None = None
     weight_margin_derived: np.ndarray | None = None
+    weight_overflow_derived: np.ndarray | None = None
     sup_gaps: np.ndarray | None = None
     field_x: np.ndarray | None = None
     field_w0: np.ndarray | None = None
@@ -199,8 +200,12 @@ def _strict_new_min(margin, best):
 
 def _fold_margins(margin, viol, worst):
     """Fold a chunk's ``(n, ...)`` margins into violation counts and the
-    worst margin of each entry (a NaN margin stays the worst)."""
-    viol += np.count_nonzero(margin < 0, axis=0)
+    worst margin of each entry.
+
+    Fails closed: a node holds only when its margin is ``>= 0``, so a NaN
+    margin is a violation, and it stays the worst margin.
+    """
+    viol += np.count_nonzero(~(margin >= 0), axis=0)
     np.minimum(worst, margin.min(axis=0), out=worst)
 
 
@@ -277,6 +282,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     wlhs = np.zeros((Wn, A, c)) if (c and Wn) else None
     wrhs = np.full((Wn, A, c), np.inf) if (c and Wn) else None
     wover = np.zeros(Wn, dtype=np.int64)
+    wover4 = np.zeros(Wn, dtype=np.int64)
     gaps = np.zeros((A - 1, B)) if (tasks.track_gaps and A > 1) else None
     fx = np.zeros((A, f, S, d)) if S else None
     fw0 = np.zeros((f, S, d)) if S else None
@@ -364,6 +370,13 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         cert["full_raw"] += np.count_nonzero(act_f & above, axis=0)
 
     def weight_check(wi, s, t, n2, ab2, x2):
+        """Stated (2x) and derived (4x) weighted moment bounds.
+
+        As in :func:`weights.check_moment_bound_on_fields`: an overflowing
+        left side gives a ``-inf`` or NaN margin, a violation; an overflowing
+        right side alone holds.  Nodes with either side non-finite are
+        counted as overflow.
+        """
         wf = weights[wi]
         hd = head[wi][s:s + len(t), None]
         bt = (0.5 * beta * t)[:, None]
@@ -372,18 +385,17 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             rhs4 = hd + 0.5 * wf.value(4.0 * n2) + bt * wf.value(4.0 * ab2)
             lhs = wf.value(x2)
         lhs_ok = np.isfinite(lhs)
-        finite = lhs_ok & np.isfinite(rhs)[:, None]
-        wover[wi] += finite.size - np.count_nonzero(finite)
-        margin = np.where(finite, (rhs * slack)[:, None] - lhs, np.inf)
+        margin = (rhs * slack)[:, None] - lhs
         upd, row = _strict_new_min(margin, wmarg[wi])
         wnode[wi][upd] = s + row[upd]
         wlhs[wi][upd] = np.take_along_axis(lhs, row[None], axis=0)[0][upd]
         wrhs[wi][upd] = rhs[row, cols][upd]
         _fold_margins(margin, wviol[wi], wmarg[wi])
         del margin
-        fin4 = lhs_ok & np.isfinite(rhs4)[:, None]
-        _fold_margins(np.where(fin4, (rhs4 * slack)[:, None] - lhs, np.inf),
-                      wviol4[wi], wmarg4[wi])
+        _fold_margins((rhs4 * slack)[:, None] - lhs, wviol4[wi], wmarg4[wi])
+        for over, r in ((wover, rhs), (wover4, rhs4)):
+            ok = lhs_ok & np.isfinite(r)[:, None]
+            over[wi] += ok.size - np.count_nonzero(ok)
 
     def flush(s, n):
         t = times[s:s + n]
@@ -483,6 +495,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         "weight_viol": wviol, "weight_margin": wmarg, "weight_overflow": wover,
         "weight_node": wnode, "weight_lhs": wlhs, "weight_rhs": wrhs,
         "weight_viol_derived": wviol4, "weight_margin_derived": wmarg4,
+        "weight_overflow_derived": wover4,
         "sup_gaps": gaps,
         "field_x": fx, "field_w0": fw0, "field_runmax": frm,
         "p0_counts": p0c,
@@ -535,9 +548,8 @@ def run_ensemble(model: GalerkinModel, drift: Drift, grid: PathGrid,
         for name in parts[0]["cert_viol"]:
             certs[name] = np.concatenate([p["cert_viol"][name] for p in parts
                                           if p["cert_viol"]], axis=2)
-    wover = None
-    if parts[0]["weight_overflow"] is not None:
-        wover = np.sum([p["weight_overflow"] for p in parts], axis=0)
+    wover = np.sum([p["weight_overflow"] for p in parts], axis=0)
+    wover4 = np.sum([p["weight_overflow_derived"] for p in parts], axis=0)
     p0 = None
     if parts[0]["p0_counts"] is not None:
         p0 = np.sum([p["p0_counts"] for p in parts], axis=0)
@@ -567,6 +579,7 @@ def run_ensemble(model: GalerkinModel, drift: Drift, grid: PathGrid,
         weight_rhs=_cat(parts, "weight_rhs", 2),
         weight_viol_derived=_cat(parts, "weight_viol_derived", 2),
         weight_margin_derived=_cat(parts, "weight_margin_derived", 2),
+        weight_overflow_derived=wover4,
         sup_gaps=_cat(parts, "sup_gaps", 1),
         field_x=_cat(parts, "field_x", 1),
         field_w0=_cat(parts, "field_w0", 0),

@@ -275,8 +275,10 @@ def stage_phi(state: RunState):
                         f"{over} overflow nodes"))
         viol4 = int(res.weight_viol_derived[wi].sum())
         worst4 = float(res.weight_margin_derived[wi].min())
+        over4 = int(res.weight_overflow_derived[wi])
         state.add(Check(f"phi.bound_derived_{name}", bound_gate(viol4, worst4),
-                        worst4, f"derived form; {viol4} node violations"))
+                        worst4, f"derived form; {viol4} node violations, "
+                        f"{over4} overflow nodes"))
 
     # the same bound on the weak-limit candidate fields (both variants)
     if state.candidate is not None:

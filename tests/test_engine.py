@@ -2,13 +2,15 @@
 implementations in ``oracle.py`` and be invariant to blocking and worker
 count."""
 
-from dataclasses import fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
 
-from ouperturb import PathGrid, engine, make_drift, make_weight
+from ouperturb import (GalerkinModel, PathGrid, WeightFunction, engine, make_drift,
+                       make_weight, validate_model)
 from ouperturb.engine import EnsembleTasks, run_ensemble
+from ouperturb.harness import bound_gate
 from oracle import (check_moment_bound, check_pathwise_bound, integrate_Z,
                     log_rho_tilde, sample_ou_path, stopping_time, w0_norms,
                     w0_running_max, zeta)
@@ -148,6 +150,39 @@ def test_engine_chunk_length_invariance(model4, grid, monkeypatch):
         assert other.keys() == base.keys()
         for name, a in base.items():
             assert np.array_equal(a, other[name]), name
+
+
+@dataclass(frozen=True)
+class SpikedWeight(WeightFunction):
+    """The power-2 weight, but ``spike`` on arguments in (8.5, 20)."""
+
+    spike: float = np.inf
+
+    def value(self, u):
+        u = np.asarray(u, dtype=float)
+        return np.where((u > 8.5) & (u < 20.0), self.spike, super().value(u))
+
+
+@pytest.mark.parametrize("spike", [np.inf, np.nan], ids=["overflow", "nan"])
+def test_engine_weight_checks_fail_closed(spike):
+    # started at x0 = (3, 0, 0, 0) without drift, |X|^2 starts near 9, inside
+    # the spiked band, while the right side's arguments (2|w0|^2 and 4|w0|^2
+    # near 0, 4|x0|^2 = 36) stay outside it: a non-finite left side against a
+    # finite right side must count as a violation and fail the gate
+    model = validate_model(GalerkinModel(
+        eigenvalues=[-1.0, -2.0, -3.0, -4.0], beta=1.0, sigma_diag=[1.0] * 4,
+        horizon=1.0, x0=[3.0, 0.0, 0.0, 0.0]))
+    tasks = EnsembleTasks(alphas=(0.1,), integrate=True, n_check_paths=4,
+                          weights=(SpikedWeight("power", 2.0, spike),))
+    res = run_ensemble(model, make_drift("zero"), PathGrid(100, 1.0), tasks, 4, 3)
+    for viol, worst, over in ((res.weight_viol, res.weight_margin,
+                               res.weight_overflow),
+                              (res.weight_viol_derived, res.weight_margin_derived,
+                               res.weight_overflow_derived)):
+        n_viol, low = int(viol.sum()), float(worst.min())
+        assert n_viol > 0 and over[0] >= n_viol
+        assert np.isnan(low) if np.isnan(spike) else low == -np.inf
+        assert not bound_gate(n_viol, low)
 
 
 def test_engine_p0_counts_match_stored(model4, grid):

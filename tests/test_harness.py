@@ -270,6 +270,9 @@ def test_nan_margin_fails_bound_gates(cached_state):
 
     clean = run_stage(cached_state, stage_phi, res)
     assert clean["phi.bound_derived_power2"].passed
+    # the derived form reports its own overflow count
+    assert clean["phi.bound_derived_power2"].detail == \
+        "derived form; 0 node violations, 0 overflow nodes"
     doctored = replace(res, weight_margin_derived=with_nan(res.weight_margin_derived))
     checks = run_stage(cached_state, stage_phi, doctored)
     assert "0 node violations" in checks["phi.bound_derived_power2"].detail
