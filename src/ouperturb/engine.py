@@ -428,12 +428,14 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         if gaps is not None:
             np.maximum(gaps, r_gap[:n].max(axis=0), out=gaps)
 
-    rngs = [path_rng(master_seed, i) for i in range(p_lo, p_hi)]
+    # each path's generator with its rows of the noise buffer
+    paths = list(zip((path_rng(master_seed, i) for i in range(p_lo, p_hi)), noise))
     ws_w = ws_x = ws_z = None   # (A, B) warm-start states, one per role
     for s in range(0, N + 1, F):
         n = min(F, N + 1 - s)       # nodes s .. s+n-1; node N takes no step
-        for b, rng in enumerate(rngs):
-            rng.standard_normal(out=noise[b, :min(n, N - s)])
+        steps = min(n, N - s)
+        for rng, rows in paths:
+            rng.standard_normal(out=rows[:steps])
         for j in range(n):
             k = s + j
             # record what the diagnostics need of node k

@@ -166,7 +166,7 @@ def estimate_constant(w: WeightFunction, c, beta, B, grid_points: int = 4096):
         if not live.any():
             break
         left = live & (f1 >= f2)        # keep [a, x2]
-        right = live & ~(f1 >= f2)      # keep [x1, b]
+        right = live & ~left            # keep [x1, b]
         b = np.where(left, x2, b)
         a = np.where(right, x1, a)
         x1, x2 = np.where(right, x2, x1), np.where(left, x1, x2)
