@@ -28,7 +28,7 @@ from .pseudoweak import BallCompression, TestMeasureGrid, cesaro_limit, \
 from .tails import (ClosedFormWeight, EnvelopeWeight, MollifiedWeight,
                     TabulatedTail, admissibility_chain_fit, build_bump_weight,
                     check_weight_integral, p0_from_counts, tail_table)
-from .weights import check_moment_bound_on_fields, estimate_constant
+from .weights import check_moment_bound_on_fields, estimate_constant, objective
 
 N_CHECK_PATHS = 1000     # node-wise bound checks cover this prefix
 N_FIELD_PATHS = 48       # strided fields for the weak-limit diagnostics
@@ -311,14 +311,13 @@ def stage_phi(state: RunState):
             triples.append((c, beta, float(rng.uniform(1e-3, 0.95 * bmax))))
         for (c, beta, B), est in zip(triples,
                                      estimate_constant(w, *np.array(triples).T)):
+            # one triple at a time: the re-check is arithmetic on 4001-point
+            # rows, not per-call overhead, and 2-D row blocks ran no faster
             u0 = max(c**2 / beta**2, c**2 / (4 * (beta - B) ** 2)) \
                 if B < beta else c**2 / beta**2
             grid = np.linspace(0.0, 10.0 * max(u0, 1e-9), 4001)
-            with np.errstate(over="ignore", invalid="ignore"):
-                f = w.deriv(grid) * (c * np.sqrt(grid) - beta * grid) \
-                    + B * w.value(grid)
-            f = np.where(np.isnan(f), -np.inf, f)
-            excess = float((np.max(f) - est.value) / max(abs(est.value), 1e-300))
+            fmax = objective(w, c, beta, B, grid).max()
+            excess = float((fmax - est.value) / max(abs(est.value), 1e-300))
             worst_excess = max(worst_excess, excess)
             if est.closed_form is not None:
                 if est.closed_form_is_upper:

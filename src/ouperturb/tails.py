@@ -338,7 +338,9 @@ def weight_tail_integral(weight: UIWeight, p_fn, y_max: float,
     """Trapezoid quadrature of ``int Psi'(y) p(y) dy`` on a log-spaced grid.
 
     Bump weights are integrated per bump with the Gauss rule instead, since a
-    log grid cannot resolve unit-width plateaus at large ``y``.
+    log grid cannot resolve unit-width plateaus at large ``y``.  A non-finite
+    integrand value is kept, so it makes the integral non-finite and
+    :func:`check_weight_integral` fail.
     """
     if isinstance(weight, BumpSumWeight):
         total = 0.0
@@ -356,7 +358,6 @@ def weight_tail_integral(weight: UIWeight, p_fn, y_max: float,
     grid = np.concatenate([np.linspace(lo, 1.0, 512, endpoint=False),
                            np.geomspace(1.0, y_max, n_grid)])
     f = weight.deriv(grid) * np.asarray(p_fn(grid))
-    f = np.where(np.isfinite(f), f, 0.0)
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     return float(trapezoid(f, grid))
 

@@ -105,7 +105,9 @@ class EstimateConstant:
     closed_form_is_upper: bool
 
 
-def _objective(w: WeightFunction, c: float, beta: float, B: float, u):
+def objective(w: WeightFunction, c: float, beta: float, B: float, u):
+    """``w'(u)(c*sqrt(u) - beta*u) + B*w(u)``, the function
+    :func:`estimate_constant` maximizes, with NaN read as ``-inf``."""
     with np.errstate(over="ignore", invalid="ignore"):
         f = w.deriv(u) * (c * np.sqrt(u) - beta * u) + B * w.value(u)
     return np.where(np.isnan(f), -np.inf, f)
@@ -143,7 +145,7 @@ def estimate_constant(w: WeightFunction, c, beta, B, grid_points: int = 4096):
         hi = max(u0, 1.0)
         for _ in range(200):
             grid = np.linspace(0.0, hi, grid_points)
-            vals = _objective(w, ci, bi, Bi, grid)
+            vals = objective(w, ci, bi, Bi, grid)
             k = int(np.argmax(vals))
             if k < grid_points - int(0.02 * grid_points) - 1:
                 break
@@ -159,8 +161,8 @@ def estimate_constant(w: WeightFunction, c, beta, B, grid_points: int = 4096):
     a, b = lo, up
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1 = _objective(w, cs, betas, Bs, x1)
-    f2 = _objective(w, cs, betas, Bs, x2)
+    f1 = objective(w, cs, betas, Bs, x1)
+    f2 = objective(w, cs, betas, Bs, x2)
     while True:
         live = b - a > 1e-12 * np.maximum(1.0, b)
         if not live.any():
@@ -173,11 +175,11 @@ def estimate_constant(w: WeightFunction, c, beta, B, grid_points: int = 4096):
         f1, f2 = np.where(right, f2, f1), np.where(left, f1, f2)
         x1 = np.where(left, b - invphi * (b - a), x1)
         x2 = np.where(right, a + invphi * (b - a), x2)
-        f_new = _objective(w, cs, betas, Bs, np.where(left, x1, x2))
+        f_new = objective(w, cs, betas, Bs, np.where(left, x1, x2))
         f1 = np.where(left, f_new, f1)
         f2 = np.where(right, f_new, f2)
     u_star = 0.5 * (a + b)
-    f_star = _objective(w, cs, betas, Bs, u_star)
+    f_star = objective(w, cs, betas, Bs, u_star)
     value = np.where(f_star > grid_max, f_star, grid_max)
 
     out = [EstimateConstant(float(value[i]), float(bracket[i]), float(u_star[i]),

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ouperturb import check_dissipative, make_drift, resolvent_residual
-from ouperturb.drifts import (DriftSolverError, Modulation, RadialGrowth,
-                              solve_radial_scale)
+from ouperturb import drifts
+from ouperturb.drifts import (DriftSolverError, Modulation, RadialDrift,
+                              RadialGrowth, solve_radial_scale)
 
 CUBIC = make_drift("radial", power=2.0)
 LIN = make_drift("radial", coef=1.0, power=0.0)   # F(x) = -x
@@ -133,6 +134,60 @@ def test_solver_error_reports_worst_element():
     msg = str(err.value)
     for label, v in (("alpha", alpha[1]), ("r", r[1]), ("residual", h[1])):
         assert f"{label}={v:.6g}" in msg, msg
+
+
+@pytest.mark.parametrize("power,coef", [(0.0, 3.0), (1.0, 2.0), (2.0, 1.0)])
+def test_closed_form_resolvent_contract(power, coef):
+    # every element meets |h| <= 1e-13 r, at r = 0 too, including alpha = 0
+    # (identity) and alpha = 1e-200 (p**3 overflows in the cubic formula)
+    drift = RadialDrift(RadialGrowth(coef=coef, power=power))
+    r = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 20_000)])
+    x = np.zeros((r.size, 3))
+    x[:, 1] = r
+    for alpha in (0.0, 1e-200, 1e-6, 0.01, 1.0):
+        j, s = drift.resolvent_warm(0.0, alpha, x)
+        h = s + alpha * drift.growth(s) * s - r
+        assert np.all(np.abs(h) <= 1e-13 * r), alpha
+        assert np.all(s >= 0) and s[0] == 0.0
+        np.testing.assert_allclose(j[:, 1], s, rtol=1e-15, atol=0)
+        assert not j[:, [0, 2]].any()
+        if alpha == 0.0:
+            assert np.array_equal(s, r)
+
+
+def test_closed_form_miss_falls_back_to_newton(monkeypatch):
+    # an element whose closed form misses the contract is solved again by
+    # the Newton solve from its warm start; with one Newton step allowed,
+    # the solver error names that element
+    growth = RadialGrowth()
+    alpha = np.array([0.1, 0.2])[:, None]
+    r = np.array([[0.5, 3.0, 40.0], [0.7, 40.0, 2.0]])
+    warm = 0.9 * r
+    closed = drifts.closed_radial_scale
+    clean = drifts.radial_scale(growth, alpha, r, s0=warm)
+
+    def miss_one(g, a, rr):
+        s, h = closed(g, a, rr)
+        s[1, 1] = h[1, 1] = np.nan
+        return s, h
+
+    monkeypatch.setattr(drifts, "closed_radial_scale", miss_one)
+    out = drifts.radial_scale(growth, alpha, r, s0=warm)
+    newton = solve_radial_scale(growth, 0.2, r[1, 1], s0=warm[1, 1])
+    assert out[1, 1] == newton
+    mask = np.ones_like(r, dtype=bool)
+    mask[1, 1] = False
+    assert np.array_equal(out[mask], clean[mask])
+    _, state = RadialDrift(growth).resolvent_warm(0.0, alpha, r[..., None], warm)
+    assert state[1, 1] == newton
+
+    monkeypatch.setattr(drifts, "solve_radial_scale",
+                        lambda *a, **k: solve_radial_scale(*a, **k, max_iter=1))
+    with pytest.raises(DriftSolverError) as err:
+        drifts.radial_scale(growth, alpha, r)
+    msg = str(err.value)
+    assert "1 of 1 elements left" in msg
+    assert "alpha=0.2," in msg and "r=40," in msg, msg
 
 
 @settings(max_examples=100, deadline=None)

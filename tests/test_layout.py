@@ -3,9 +3,10 @@ and the names the benchmark's tracer patches by lookup."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
-from ouperturb import engine, girsanov, harness
+from ouperturb import drifts, engine, girsanov, harness
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ouperturb"
@@ -50,3 +51,11 @@ def test_traced_names_exist():
     assert not missing, f"not in ouperturb.harness: {missing}"
     assert callable(engine.run_ensemble)
     assert callable(girsanov.martingale_check)
+    # Tracer.patch_drift: the resolvent on the drift's class, and for radial
+    # drifts the Newton solve and the derivative it calls once per step
+    assert callable(drifts.solve_radial_scale)
+    assert callable(drifts.RadialGrowth.deriv)
+    for cls in (drifts.RadialDrift, drifts.SaturatingDrift,
+                drifts.TimeModulatedDrift):
+        assert callable(cls.resolvent_warm)
+    assert "drift.resolvent_warm(" in inspect.getsource(engine._run_block)

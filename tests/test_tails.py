@@ -133,6 +133,26 @@ def test_envelope_weight_from_table_monotone():
     assert rep.passed
 
 
+def test_envelope_integral_fails_closed_on_nan():
+    # one NaN tail value on the quadrature grid must reach the integral and
+    # fail the check, not be read as a zero integrand
+    y = np.geomspace(1.0, 1e5, 500)
+    tab = TabulatedTail(tuple(y), tuple(np.minimum(1.0, 1.0 / y)))
+    env = EnvelopeWeight(tab)
+    assert check_weight_integral(env, tab, 1e5, envelope_like=True).passed
+
+    def p_fn(s):
+        out = np.asarray(tab(s), dtype=float)
+        if out.size > 1:
+            out = out.copy()
+            out.flat[600] = np.nan
+        return out
+
+    rep = check_weight_integral(env, p_fn, 1e5, envelope_like=True)
+    assert np.isnan(rep.value)
+    assert not rep.passed
+
+
 def test_mollified_constant_tail():
     tab = TabulatedTail((0.0, 100.0), (0.25, 0.25))
     w = MollifiedWeight(tab, delta=0.3)
