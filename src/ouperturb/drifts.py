@@ -14,8 +14,8 @@ The catalog is closed under multiplication by a measurable time modulation
 with values in ``[0, 1]``.
 
 The radial resolvents reduce to one scalar norm equation
-``s + alpha_eff * g(s) * s = r``.  For the growth powers 0, 1 and 2 it is
-linear, quadratic or cubic in ``s`` and is solved in closed form
+``s + alpha_eff * g(s) * s = r``.  For growth power 2, the cubic drift of
+every shipped config, it is a cubic in ``s`` and is solved in closed form
 (:func:`closed_radial_scale`), then polished by one Newton step.  The solve
 fails closed: an element whose polished residual misses ``|h| <= 1e-13 * r``
 goes back to the Newton solve :func:`solve_radial_scale`, which raises
@@ -34,32 +34,23 @@ class DriftSolverError(RuntimeError):
     """Scalar resolvent solve failed to converge (should never happen)."""
 
 
-def colsum(x, out=None):
+def colsum(x):
     """Sum over the last axis, adding its columns left to right.
 
     Every d-axis sum, norm and dot product of the stepping loop goes through
     this one fixed order.  On the short state axis it is several times faster
     than ``np.sum(x, axis=-1)``, and for fewer than 8 columns it is bitwise
-    equal to it (numpy adds that few terms sequentially too).  ``out`` may
-    supply the result array.
+    equal to it (numpy adds that few terms sequentially too).
     """
-    if out is None:
-        out = x[..., 0].copy()
-    else:
-        out[...] = x[..., 0]
+    out = x[..., 0].copy()
     for j in range(1, x.shape[-1]):
         out += x[..., j]
     return out
 
 
-def norm(x, out=None, work=None):
-    """Euclidean norm over the last axis, summed by :func:`colsum`.
-
-    ``out`` may supply the result and ``work`` an array of ``x``'s shape for
-    the squares; with both, nothing is allocated.
-    """
-    sq = np.multiply(x, x, out=work)
-    return np.sqrt(colsum(sq, out=out), out=out)
+def norm(x, out=None):
+    """Euclidean norm over the last axis, summed by :func:`colsum`."""
+    return np.sqrt(colsum(x * x), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -152,60 +143,45 @@ def solve_radial_scale(growth: RadialGrowth, alpha_eff, r, s0=None, tol=1e-13,
 
 
 def closed_radial_scale(growth: RadialGrowth, alpha_eff, r):
-    """Closed-form root of ``s + alpha_eff * g(s) * s = r`` for power 0, 1 or 2.
+    """Closed-form root of ``s + alpha_eff * g(s) * s = r`` for power 2.
 
-    With ``a = alpha_eff * coef`` the equation is ``s + a s**(power+1) = r``:
-
-    * power 0: ``s = r / (1 + a)``;
-    * power 1: ``s = 2r / (1 + sqrt(1 + 4ar))``;
-    * power 2: ``s**3 + p s - q = 0`` with ``p = 1/a``, ``q = r/a``.  Cardano's
-      root is ``u - v`` with ``u = cbrt(q/2 + sqrt(q**2/4 + p**3/27))`` and
-      ``v = p/(3u)``.  Since ``u**3 - v**3 = q``, it equals
-      ``q / (u**2 + uv + v**2)``, which does not cancel as ``r -> 0``
-      (Blinn, "How to solve a cubic equation", IEEE CG&A 2006-07; Press et
-      al., Numerical Recipes, section 5.6).
+    With ``a = alpha_eff * coef`` the equation is ``s**3 + p s - q = 0`` with
+    ``p = 1/a``, ``q = r/a``.  Cardano's root is ``u - v`` with
+    ``u = cbrt(q/2 + sqrt(q**2/4 + p**3/27))`` and ``v = p/(3u)``.  Since
+    ``u**3 - v**3 = q``, it equals ``q / (u**2 + uv + v**2)``, which does not
+    cancel as ``r -> 0`` (Blinn, "How to solve a cubic equation", IEEE CG&A
+    2006-07; Press et al., Numerical Recipes, section 5.6).
 
     One Newton step polishes the root.  Returns ``s`` and its residual
-    ``h = s + a s**(power+1) - r`` after the polish, both of the broadcast
-    shape.  Where a formula breaks down -- ``a = 0``, or ``p**3`` overflowing
-    at tiny ``a`` -- the result is NaN or off the root, and only the residual
-    shows it: :func:`radial_scale` checks it.
+    ``h = s + a s**3 - r`` after the polish, both of the broadcast shape.
+    Where the formula breaks down -- ``a = 0``, or ``p**3`` overflowing at
+    tiny ``a`` -- the result is NaN, and only the residual shows it:
+    :func:`radial_scale` checks it.
     """
     a = np.multiply(alpha_eff, growth.coef)
-    power = growth.power
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if power == 2:
-            p = 1.0 / a
-            q = r * p
-            h = 0.5 * q
-            u = np.cbrt(h + np.sqrt(h * h + p * p * p / 27.0))
-            v = (p / 3.0) / u
-            s = q / (u * u + v * (u + v))
-            ag = a * (s * s)
-            s = s - (s + ag * s - r) / (1.0 + 3.0 * ag)
-            return s, s + a * (s * s) * s - r
-        if power == 1:
-            s = 2.0 * r / (1.0 + np.sqrt(1.0 + 4.0 * a * r))
-            ag = a * s
-            s = s - (s + ag * s - r) / (1.0 + 2.0 * ag)
-            return s, s + a * s * s - r
-        s = r / (1.0 + a)
-        s = s - (s + a * s - r) / (1.0 + a)
-        return s, s + a * s - r
+        p = 1.0 / a
+        q = r * p
+        h = 0.5 * q
+        u = np.cbrt(h + np.sqrt(h * h + p * p * p / 27.0))
+        v = (p / 3.0) / u
+        s = q / (u * u + v * (u + v))
+        ag = a * (s * s)
+        s = s - (s + ag * s - r) / (1.0 + 3.0 * ag)
+        return s, s + a * (s * s) * s - r
 
 
 def radial_scale(growth: RadialGrowth, alpha_eff, r, s0=None):
     """Solve ``s + alpha_eff * g(s) * s = r`` with the contract ``|h| <= 1e-13 r``,
     the stop of :func:`solve_radial_scale`.
 
-    Powers 0, 1 and 2 take the closed form (:func:`closed_radial_scale`) and
-    fail closed: an element whose polished residual misses the contract --
-    NaN included -- is solved again, by the identity where
-    ``alpha_eff = 0`` and otherwise by :func:`solve_radial_scale` from its
-    warm start in ``s0``.  Other powers use that Newton solve throughout.
-    Each value depends only on its own ``(r, alpha_eff, s0)``.
+    Power 2 takes the closed form (:func:`closed_radial_scale`) and fails
+    closed: an element whose polished residual misses the contract -- NaN
+    included -- is solved again by :func:`solve_radial_scale` from its warm
+    start in ``s0``.  Other powers use that Newton solve throughout.  Each
+    value depends only on its own ``(r, alpha_eff, s0)``.
     """
-    if growth.power not in (0, 1, 2):
+    if growth.power != 2:
         return solve_radial_scale(growth, alpha_eff, r, s0=s0)
     s, h = closed_radial_scale(growth, alpha_eff, r)
     with np.errstate(invalid="ignore"):
@@ -213,16 +189,13 @@ def radial_scale(growth: RadialGrowth, alpha_eff, r, s0=None):
     if ok.all():
         return s
     s = np.array(s, dtype=float)
-    flat = s.reshape(-1)
     miss = np.flatnonzero(~ok)
-    a = np.broadcast_to(alpha_eff, s.shape).reshape(-1)[miss]
-    rm = np.broadcast_to(r, s.shape).reshape(-1)[miss]
-    flat[miss] = rm             # alpha_eff = 0: the resolvent is the identity
-    newton = a != 0
-    if newton.any():
-        idx = miss[newton]
-        s0m = None if s0 is None else np.broadcast_to(s0, s.shape).reshape(-1)[idx]
-        flat[idx] = solve_radial_scale(growth, a[newton], rm[newton], s0=s0m)
+
+    def pick(v):
+        return None if v is None else np.broadcast_to(v, s.shape).reshape(-1)[miss]
+
+    s.reshape(-1)[miss] = solve_radial_scale(growth, pick(alpha_eff), pick(r),
+                                             s0=pick(s0))
     return s
 
 
@@ -327,10 +300,10 @@ class RadialDrift(Drift):
     The gradient of a convex radial potential, hence single-valued and
     dissipative on the whole space.  Resolvent reduces to one scalar monotone
     equation on the norm, ``s + alpha * g(s) * s = |x|``, solved by
-    :func:`radial_scale`: in closed form with one Newton polish for powers
-    0, 1 and 2, with a per-element fallback to the Newton solve where the
-    polished residual misses its contract, and by the Newton solve alone for
-    other powers.  The warm-start state of :meth:`resolvent_warm` is the
+    :func:`radial_scale`: in closed form with one Newton polish for power 2,
+    with a per-element fallback to the Newton solve where the polished
+    residual misses its contract, and by the Newton solve alone for other
+    powers.  The warm-start state of :meth:`resolvent_warm` is the
     previous norm solution; it seeds only that Newton solve.
     """
 

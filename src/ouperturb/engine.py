@@ -12,14 +12,13 @@ per role -- the source path ``w``, the perturbed path ``X`` and the implicit
 step ``y`` -- with alpha as an ``(A, 1)`` column against the ``(A, B)`` norms
 and one ``(A, B)`` warm start per role.  Sums over the mode axis go through
 :func:`drifts.colsum` in a fixed order.  The radial resolvents solve their
-norm equation in closed form for growth powers 0, 1 and 2
+norm equation in closed form for growth power 2
 (:func:`drifts.radial_scale`), so the warm start now seeds only the Newton
-fallback: an element whose polished residual misses its contract, or a
-non-integer power.  The closed form and the Newton solve both act per
-element, so a path's numbers depend neither on the other paths of its block
-nor on the other alphas of the run: that is what makes the cubic and
+fallback: an element whose polished residual misses its contract, or any
+other power.  The closed form and the Newton solve both act per element, so
+a path's numbers depend neither on the other paths of its block nor on the
+other alphas of the run: that is what makes the cubic and
 time-modulated drifts invariant to block size, worker count and alpha set.
-The step's temporaries are preallocated and written with ``out=``.
 
 Record and flush.  A step runs only what must run in sequence: the exact OU
 step, the Girsanov sums, and the implicit regularized step with its
@@ -432,34 +431,6 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         if gaps is not None:
             np.maximum(gaps, r_gap[:n].max(axis=0), out=gaps)
 
-    # the step's temporaries, written in place with out= in the order of the
-    # plain expressions, so each value is bit-identical to them
-    w_cur = np.empty((B, d))
-    w0_next = np.empty((B, d))
-    dWk = np.empty((B, d))
-    tmp = np.empty((B, d))          # a term of w0_next; the squares of a norm
-    if girsanov:
-        v = np.empty((A, B, d))     # the Girsanov integrand, of w then of X
-        vv = np.empty((A, B, d))
-        vsum = np.empty((A, B))
-    if integrate:
-        X = np.empty((A, B, d))
-        zp = np.empty((A, B, d))
-        y = np.empty((A, B, d))
-        dz = np.empty((A, B, d))
-        sq_c = np.empty((A, c, d)) if c else None
-        sq_gap = np.empty((A - 1, B, d)) if gaps is not None else None
-
-    def girsanov_sums(J, x, mart, quad):
-        """``v = ((J - x) / alpha) / sigma``; ``mart += sum v dW``,
-        ``quad += sum(v v) dt``."""
-        np.subtract(J, x, out=v)
-        np.divide(v, alpha_st, out=v)
-        np.divide(v, sig, out=v)
-        mart += colsum(np.multiply(v, dWk, out=vv), out=vsum)
-        colsum(np.multiply(v, v, out=vv), out=vsum)
-        quad += np.multiply(vsum, dt, out=vsum)
-
     # each path's generator with its rows of the noise buffer
     paths = list(zip((path_rng(master_seed, i) for i in range(p_lo, p_hi)), noise))
     ws_w = ws_x = ws_z = None   # (A, B) warm-start states, one per role
@@ -471,17 +442,16 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         for j in range(n):
             k = s + j
             # record what the diagnostics need of node k
-            norm(w0, out=r_nw0[j], work=tmp)
-            np.add(w0, mean_path[k], out=w_cur)
-            norm(w_cur, out=r_nw[j], work=tmp)
+            norm(w0, out=r_nw0[j])
+            w_cur = w0 + mean_path[k]
+            norm(w_cur, out=r_nw[j])
             if integrate:
-                np.add(z, w0, out=X)
+                X = z + w0
                 if c:
-                    norm(z[:, :c], out=r_nz[j], work=sq_c)
-                    norm(X[:, :c], out=r_nx[j], work=sq_c)
+                    norm(z[:, :c], out=r_nz[j])
+                    norm(X[:, :c], out=r_nx[j])
                 if gaps is not None:
-                    norm(np.subtract(z[:-1], z[1:], out=sq_gap), out=r_gap[j],
-                         work=sq_gap)
+                    norm(z[:-1] - z[1:], out=r_gap[j])
                 if S and k % stride == 0:
                     fx[:, :, k // stride] = X[:, :f]
                     fw0[:, k // stride] = w0[:f]
@@ -491,27 +461,25 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                 break
             # step k -> k+1
             xi1 = noise[:, j, 0, :]
-            np.multiply(sq, xi1, out=dWk)
-            np.multiply(decay, w0, out=w0_next)
-            w0_next += np.multiply(g1, xi1, out=tmp)
-            w0_next += np.multiply(g2, noise[:, j, 1, :], out=tmp)
+            dWk = sq * xi1
+            w0_next = decay * w0 + g1 * xi1 + g2 * noise[:, j, 1, :]
             t = times[k]
             if girsanov:
                 J, ws_w = drift.resolvent_warm(t, alpha_col, w_cur, ws_w)
-                girsanov_sums(J, w_cur, zeta_mart, zeta_quad)
+                v = ((J - w_cur) / alpha_st) / sig
+                zeta_mart += colsum(v * dWk)
+                zeta_quad += colsum(v * v) * dt
                 if integrate:
                     Jx, ws_x = drift.resolvent_warm(t, alpha_col, X, ws_x)
-                    girsanov_sums(Jx, X, rt_mart, rt_quad)
+                    u = ((Jx - X) / alpha_st) / sig
+                    rt_mart += colsum(u * dWk)
+                    rt_quad += colsum(u * u) * dt
             if integrate:
-                # z <- flow z + dt (J(y) - y) / alpha, with y = flow z + w0_next
-                np.multiply(flow, z, out=zp)
-                np.add(zp, w0_next, out=y)
+                zp = flow * z
+                y = zp + w0_next
                 Jz, ws_z = drift.resolvent_warm(times[k + 1], alpha_col, y, ws_z)
-                np.subtract(Jz, y, out=dz)
-                np.multiply(dt, dz, out=dz)
-                np.divide(dz, alpha_st, out=dz)
-                np.add(zp, dz, out=z)
-            w0, w0_next = w0_next, w0
+                z = zp + dt * (Jz - y) / alpha_st
+            w0[...] = w0_next
         flush(s, n)
 
     if stopped is not None:

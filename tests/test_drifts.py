@@ -138,21 +138,22 @@ def test_solver_error_reports_worst_element():
 
 @pytest.mark.parametrize("power,coef", [(0.0, 3.0), (1.0, 2.0), (2.0, 1.0)])
 def test_closed_form_resolvent_contract(power, coef):
-    # every element meets |h| <= 1e-13 r, at r = 0 too, including alpha = 0
-    # (identity) and alpha = 1e-200 (p**3 overflows in the cubic formula)
+    # every element meets |h| <= 1e-13 r, at r = 0 too, from a cold and a
+    # warm start, including alpha = 0 and alpha = 1e-200, where the cubic
+    # formula gives NaN and the Newton fallback solves; powers 0 and 1 take
+    # the Newton solve throughout
     drift = RadialDrift(RadialGrowth(coef=coef, power=power))
     r = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 20_000)])
     x = np.zeros((r.size, 3))
     x[:, 1] = r
     for alpha in (0.0, 1e-200, 1e-6, 0.01, 1.0):
-        j, s = drift.resolvent_warm(0.0, alpha, x)
-        h = s + alpha * drift.growth(s) * s - r
-        assert np.all(np.abs(h) <= 1e-13 * r), alpha
-        assert np.all(s >= 0) and s[0] == 0.0
-        np.testing.assert_allclose(j[:, 1], s, rtol=1e-15, atol=0)
-        assert not j[:, [0, 2]].any()
-        if alpha == 0.0:
-            assert np.array_equal(s, r)
+        for warm in (None, 0.5 * r):
+            j, s = drift.resolvent_warm(0.0, alpha, x, warm)
+            h = s + alpha * drift.growth(s) * s - r
+            assert np.all(np.abs(h) <= 1e-13 * r), alpha
+            assert np.all(s >= 0) and s[0] == 0.0
+            np.testing.assert_allclose(j[:, 1], s, rtol=1e-15, atol=0)
+            assert not j[:, [0, 2]].any()
 
 
 def test_closed_form_miss_falls_back_to_newton(monkeypatch):
