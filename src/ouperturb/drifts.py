@@ -1,26 +1,35 @@
 """Catalog of maximal dissipative drifts.
 
-Each drift exposes four maps, all vectorized over states of shape
+Each drift exposes these maps, all vectorized over states of shape
 ``(..., dim)`` with a time argument broadcastable to the leading axes:
 
 * ``minimal_section(t, x)`` -- the least-norm element of the drift set;
 * ``resolvent(t, alpha, x)`` -- the single-valued inverse of ``I - alpha*F``;
 * ``yosida(t, alpha, x)``   -- ``(resolvent - identity) / alpha``, the
   globally Lipschitz regularization (constant at most ``2/alpha``);
+* ``resolvent_warm(t, alpha, x, state)`` -- the same regularization in the
+  factored form ``coef[..., None] * base`` that the step loop consumes;
 * ``bound(r)``              -- the increasing radial envelope ``a`` with
   ``|minimal_section(t, x)| <= a(|x|)``.
 
 The catalog is closed under multiplication by a measurable time modulation
 with values in ``[0, 1]``.
 
-The radial resolvents reduce to one scalar norm equation
-``s + alpha_eff * g(s) * s = r``.  For growth power 2, the cubic drift of
-every shipped config, it is a cubic in ``s`` and is solved in closed form
-(:func:`closed_radial_scale`), then polished by one Newton step.  The solve
-fails closed: an element whose polished residual misses ``|h| <= 1e-13 * r``
-goes back to the Newton solve :func:`solve_radial_scale`, which raises
-:class:`DriftSolverError` naming the element if it cannot meet the contract
-either.  Other powers use the Newton solve throughout.
+The radial drifts (:class:`RadialFamily`) scale their argument:
+``resolvent(t, alpha, x) = (s/r) x`` with ``r = |x|`` and ``s`` the root of
+one scalar norm equation, so their regularization is the scalar
+``(s/r - 1)/alpha`` times ``x`` itself, and ``resolvent_warm`` returns that
+scalar per state with ``base = x``, uncopied.  Every other kind returns
+``coef = 1`` and ``base = yosida``.
+
+For ``RadialDrift`` the norm equation is ``s + alpha_eff * g(s) * s = r``.
+For growth power 2, the cubic drift of every shipped config, it is a cubic
+in ``s`` and is solved in closed form (:func:`closed_radial_scale`), then
+polished by one Newton step.  The solve fails closed: an element whose
+polished residual misses ``|h| <= 1e-13 * r`` goes back to the Newton solve
+:func:`solve_radial_scale`, which raises :class:`DriftSolverError` naming
+the element if it cannot meet the contract either.  Other powers use the
+Newton solve throughout.
 """
 
 from __future__ import annotations
@@ -252,13 +261,25 @@ class Drift:
         raise NotImplementedError
 
     def resolvent_warm(self, t, alpha, x, state=None):
-        """Resolvent with an opaque warm-start state for tight step loops.
+        """Yosida regularization in factored form, for tight step loops.
 
-        The default ignores the state; iterative kinds reuse it to seed the
-        scalar solve.  The returned value always satisfies the same residual
-        contract as :meth:`resolvent`.
+        Returns ``(coef, base, state)`` with
+        ``yosida(t, alpha, x) = coef[..., None] * base``, where ``coef`` has
+        the leading shape of the broadcast of ``alpha`` (a column against the
+        leading axes, as in :meth:`resolvent`) with ``x``.  A step loop can
+        then sum ``coef * colsum(base * other)`` and never build the
+        regularization itself.  ``state`` is an opaque warm start, returned
+        for the next call with the same role; the resolvent behind ``coef``
+        satisfies the same residual contract as :meth:`resolvent`.
+
+        This default returns ``coef = 1`` and ``base = yosida``, and ignores
+        the state; :class:`RadialFamily` returns a scalar per state and
+        ``base = x``.
         """
-        return self.resolvent(t, alpha, x), None
+        x = np.asarray(x, dtype=float)
+        a = np.asarray(alpha, dtype=float)
+        base = (self.resolvent(t, alpha, x) - x) / (a[..., None] if a.ndim else a)
+        return np.ones(base.shape[:-1]), base, None
 
     def yosida(self, t, alpha, x):
         return (self.resolvent(t, alpha, x) - x) / alpha
@@ -271,6 +292,34 @@ class Drift:
 
     def describe(self) -> dict:
         return {"kind": self.kind, "bound": self.bound_name()}
+
+
+class RadialFamily(Drift):
+    """Drifts whose resolvent scales its argument, ``J = (s/r) x``.
+
+    Here ``r = |x|`` and ``s = norm_solve(alpha, r, state)`` solves the
+    drift's scalar norm equation.  The regularization is then
+    ``(s/r - 1)/alpha`` times ``x``, which :meth:`resolvent_warm` returns in
+    that factored form; its state is ``s``.
+    """
+
+    def norm_solve(self, alpha, r, state=None):
+        raise NotImplementedError
+
+    def scale(self, alpha, x, state=None):
+        """``s/r`` (0 at ``r = 0``) and ``s``, of the leading shape."""
+        r = norm(x)
+        s = self.norm_solve(alpha, r, state)
+        return np.divide(s, r, out=np.zeros_like(s), where=r > 0), s
+
+    def resolvent(self, t, alpha, x):
+        x = np.asarray(x, dtype=float)
+        return self.scale(alpha, x)[0][..., None] * x
+
+    def resolvent_warm(self, t, alpha, x, state=None):
+        x = np.asarray(x, dtype=float)
+        factor, s = self.scale(alpha, x, state)
+        return (factor - 1.0) / alpha, x, s
 
 
 @dataclass(frozen=True)
@@ -294,7 +343,7 @@ class ZeroDrift(Drift):
 
 
 @dataclass(frozen=True)
-class RadialDrift(Drift):
+class RadialDrift(RadialFamily):
     """``F(x) = -g(|x|) x`` for a nondecreasing radial coefficient ``g``.
 
     The gradient of a convex radial potential, hence single-valued and
@@ -314,15 +363,8 @@ class RadialDrift(Drift):
         x = np.asarray(x, dtype=float)
         return -self.growth(norm(x))[..., None] * x
 
-    def resolvent(self, t, alpha, x):
-        return self.resolvent_warm(t, alpha, x)[0]
-
-    def resolvent_warm(self, t, alpha, x, state=None):
-        x = np.asarray(x, dtype=float)
-        r = norm(x)
-        s = radial_scale(self.growth, alpha, r, s0=state)
-        factor = np.divide(s, r, out=np.zeros_like(s), where=r > 0)
-        return factor[..., None] * x, s
+    def norm_solve(self, alpha, r, state=None):
+        return radial_scale(self.growth, alpha, r, s0=state)
 
     def bound(self, r):
         r = np.asarray(r, dtype=float)
@@ -364,10 +406,11 @@ class L1SubgradientDrift(Drift):
 
 
 @dataclass(frozen=True)
-class SaturatingDrift(Drift):
+class SaturatingDrift(RadialFamily):
     """Bounded drift ``F(x) = -x / (eps + |x|)`` with unit radial envelope.
 
-    The resolvent norm solves a quadratic, so no iteration is needed.
+    The resolvent norm solves a quadratic, so no iteration is needed and the
+    warm-start state is not read.
     """
 
     eps: float = 1.0
@@ -381,15 +424,11 @@ class SaturatingDrift(Drift):
         x = np.asarray(x, dtype=float)
         return -x / (self.eps + norm(x))[..., None]
 
-    def resolvent(self, t, alpha, x):
-        x = np.asarray(x, dtype=float)
-        r = norm(x)
+    def norm_solve(self, alpha, r, state=None):
         # positive root of s^2 + s (eps + alpha - r) - r eps = 0, with alpha
         # broadcast against the norms
         b = r - self.eps - np.asarray(alpha, dtype=float)
-        s = 0.5 * (b + np.sqrt(b * b + 4.0 * self.eps * r))
-        factor = np.divide(s, r, out=np.zeros_like(s), where=r > 0)
-        return factor[..., None] * x
+        return 0.5 * (b + np.sqrt(b * b + 4.0 * self.eps * r))
 
     def bound(self, r):
         return np.ones_like(np.asarray(r, dtype=float))
@@ -406,7 +445,9 @@ class TimeModulatedDrift(Drift):
     """``F(t, x) = m(t) * base(x)`` for a modulation ``m`` with values in [0, 1].
 
     The resolvent at time ``t`` is the base resolvent at the effective
-    parameter ``alpha * m(t)``; at ``m(t) = 0`` it is the identity.
+    parameter ``alpha * m(t)``; at ``m(t) = 0`` it is the identity.  Over a
+    radial base the factored regularization solves the norm equation at
+    ``alpha * m(t)`` and divides by ``alpha`` itself.
     """
 
     base: Drift = field(default_factory=lambda: RadialDrift())
@@ -427,8 +468,11 @@ class TimeModulatedDrift(Drift):
         return self.base.resolvent(t, alpha * self._m(t, x), x)
 
     def resolvent_warm(self, t, alpha, x, state=None):
+        if not isinstance(self.base, RadialFamily):
+            return super().resolvent_warm(t, alpha, x, state)
         x = np.asarray(x, dtype=float)
-        return self.base.resolvent_warm(t, alpha * self._m(t, x), x, state)
+        factor, s = self.base.scale(alpha * self._m(t, x), x, state)
+        return (factor - 1.0) / alpha, x, s
 
     def yosida(self, t, alpha, x):
         x = np.asarray(x, dtype=float)

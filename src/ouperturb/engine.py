@@ -10,10 +10,18 @@ paths of the block, modes), and the Girsanov sums and the in-pass diagnostics
 act on the alpha axis at once.  Each step makes one ``resolvent_warm`` call
 per role -- the source path ``w``, the perturbed path ``X`` and the implicit
 step ``y`` -- with alpha as an ``(A, 1)`` column against the ``(A, B)`` norms
-and one ``(A, B)`` warm start per role.  Sums over the mode axis go through
-:func:`drifts.colsum` in a fixed order.  The radial resolvents solve their
-norm equation in closed form for growth power 2
-(:func:`drifts.radial_scale`), so the warm start now seeds only the Newton
+and one ``(A, B)`` warm start per role.  The call returns the Yosida
+regularization factored as ``coef[..., None] * base`` with an ``(A, B)``
+``coef``, and each role takes one code path for every drift kind: the
+Girsanov sums add ``coef * colsum((base/sig) * dW)`` and
+``coef**2 * colsum((base/sig)**2) * dt``, and the implicit step adds
+``dt * coef`` times ``base``.  For the radial drifts ``base`` is the state
+itself, so on the source path, whose state is ``(B, d)``, both mode sums run
+once for all alphas and no ``(A, B, d)`` array is built; other kinds return
+``coef = 1`` and the full regularization as ``base``.  Sums over the mode
+axis go through :func:`drifts.colsum` in a fixed order.  The radial
+resolvents solve their norm equation in closed form for growth power 2
+(:func:`drifts.radial_scale`), so the warm start seeds only the Newton
 fallback: an element whose polished residual misses its contract, or any
 other power.  The closed form and the Newton solve both act per element, so
 a path's numbers depend neither on the other paths of its block nor on the
@@ -83,6 +91,9 @@ class EnsembleTasks:
     def validate(self, grid: PathGrid):
         if (self.girsanov or self.integrate or self.n_check_paths) and not self.alphas:
             raise ValueError("these tasks need at least one alpha")
+        for a in self.alphas:
+            if not (np.isfinite(a) and a > 0):
+                raise ValueError(f"alpha={a!r} must be finite and > 0")
         if self.integrate:
             for a in self.alphas:
                 if grid.dt > a / 8.0 * (1 + 1e-12):
@@ -224,7 +235,6 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     alphas = tasks.alphas
     A = len(alphas)
     alpha_col = np.asarray(alphas, dtype=float)[:, None]   # against (A, B) norms
-    alpha_st = alpha_col[:, :, None]                       # against (A, B, d) states
     integrate = tasks.integrate
     girsanov = tasks.girsanov
     sig = model.sigma_diag
@@ -431,6 +441,13 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         if gaps is not None:
             np.maximum(gaps, r_gap[:n].max(axis=0), out=gaps)
 
+    def girsanov_sums(coef, base, dW, mart, quad):
+        """Add one step of ``<F/sig, dW>`` and ``|F/sig|^2 dt`` for the
+        factored ``F = coef[..., None] * base``."""
+        v = base / sig
+        mart += coef * colsum(v * dW)
+        quad += coef * coef * colsum(v * v) * dt
+
     # each path's generator with its rows of the noise buffer
     paths = list(zip((path_rng(master_seed, i) for i in range(p_lo, p_hi)), noise))
     ws_w = ws_x = ws_z = None   # (A, B) warm-start states, one per role
@@ -465,20 +482,17 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             w0_next = decay * w0 + g1 * xi1 + g2 * noise[:, j, 1, :]
             t = times[k]
             if girsanov:
-                J, ws_w = drift.resolvent_warm(t, alpha_col, w_cur, ws_w)
-                v = ((J - w_cur) / alpha_st) / sig
-                zeta_mart += colsum(v * dWk)
-                zeta_quad += colsum(v * v) * dt
+                coef, base, ws_w = drift.resolvent_warm(t, alpha_col, w_cur, ws_w)
+                girsanov_sums(coef, base, dWk, zeta_mart, zeta_quad)
                 if integrate:
-                    Jx, ws_x = drift.resolvent_warm(t, alpha_col, X, ws_x)
-                    u = ((Jx - X) / alpha_st) / sig
-                    rt_mart += colsum(u * dWk)
-                    rt_quad += colsum(u * u) * dt
+                    coef, base, ws_x = drift.resolvent_warm(t, alpha_col, X, ws_x)
+                    girsanov_sums(coef, base, dWk, rt_mart, rt_quad)
             if integrate:
                 zp = flow * z
                 y = zp + w0_next
-                Jz, ws_z = drift.resolvent_warm(times[k + 1], alpha_col, y, ws_z)
-                z = zp + dt * (Jz - y) / alpha_st
+                coef, base, ws_z = drift.resolvent_warm(times[k + 1], alpha_col, y,
+                                                        ws_z)
+                z = zp + (dt * coef)[..., None] * base
             w0[...] = w0_next
         flush(s, n)
 

@@ -111,11 +111,14 @@ def test_resolvent_residual_contract():
 
 
 def test_resolvent_warm_matches_cold():
+    # the resolvent rebuilt from the factored regularization, J = x + alpha F
     rng = np.random.default_rng(7)
     x = rng.standard_normal((50, 3))
     cold = CUBIC.resolvent(0.0, 0.05, x)
-    warm, state = CUBIC.resolvent_warm(0.0, 0.05, x, None)
-    warm2, _ = CUBIC.resolvent_warm(0.0, 0.05, x, state)
+    coef, base, state = CUBIC.resolvent_warm(0.0, 0.05, x, None)
+    warm = x + 0.05 * coef[:, None] * base
+    coef, base, _ = CUBIC.resolvent_warm(0.0, 0.05, x, state)
+    warm2 = x + 0.05 * coef[:, None] * base
     assert np.allclose(cold, warm, atol=1e-14)
     assert np.allclose(cold, warm2, atol=1e-12)
 
@@ -141,19 +144,35 @@ def test_closed_form_resolvent_contract(power, coef):
     # every element meets |h| <= 1e-13 r, at r = 0 too, from a cold and a
     # warm start, including alpha = 0 and alpha = 1e-200, where the cubic
     # formula gives NaN and the Newton fallback solves; powers 0 and 1 take
-    # the Newton solve throughout
+    # the Newton solve throughout.  The norm solution is the state that
+    # resolvent_warm returns; J is built both as the resolvent builds it and,
+    # for alpha > 0, from the factored form
     drift = RadialDrift(RadialGrowth(coef=coef, power=power))
     r = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 20_000)])
     x = np.zeros((r.size, 3))
     x[:, 1] = r
+    eps = np.finfo(float).eps
     for alpha in (0.0, 1e-200, 1e-6, 0.01, 1.0):
         for warm in (None, 0.5 * r):
-            j, s = drift.resolvent_warm(0.0, alpha, x, warm)
+            with np.errstate(divide="ignore", invalid="ignore"):   # coef at alpha 0
+                coef_, base, s = drift.resolvent_warm(0.0, alpha, x, warm)
             h = s + alpha * drift.growth(s) * s - r
             assert np.all(np.abs(h) <= 1e-13 * r), alpha
             assert np.all(s >= 0) and s[0] == 0.0
+            assert base is x
+            # J = (s/r) x as the resolvent builds it, from the same start
+            factor, s_j = drift.scale(alpha, x, warm)
+            j = factor[:, None] * x
+            assert np.array_equal(s_j, s)
+            if warm is None:
+                assert np.array_equal(drift.resolvent(0.0, alpha, x), j)
             np.testing.assert_allclose(j[:, 1], s, rtol=1e-15, atol=0)
             assert not j[:, [0, 2]].any()
+            if alpha > 0:
+                # x + alpha coef x rounds twice more than (s/r) x: a few ulp of r
+                j = x + alpha * coef_[:, None] * base
+                assert np.all(np.abs(j[:, 1] - s) <= 4 * eps * r), alpha
+                assert not j[:, [0, 2]].any()
 
 
 def test_closed_form_miss_falls_back_to_newton(monkeypatch):
@@ -179,7 +198,7 @@ def test_closed_form_miss_falls_back_to_newton(monkeypatch):
     mask = np.ones_like(r, dtype=bool)
     mask[1, 1] = False
     assert np.array_equal(out[mask], clean[mask])
-    _, state = RadialDrift(growth).resolvent_warm(0.0, alpha, r[..., None], warm)
+    _, _, state = RadialDrift(growth).resolvent_warm(0.0, alpha, r[..., None], warm)
     assert state[1, 1] == newton
 
     monkeypatch.setattr(drifts, "solve_radial_scale",
@@ -189,6 +208,56 @@ def test_closed_form_miss_falls_back_to_newton(monkeypatch):
     msg = str(err.value)
     assert "1 of 1 elements left" in msg
     assert "alpha=0.2," in msg and "r=40," in msg, msg
+
+
+FACTORED = {
+    **{f"radial power {p:g}": make_drift("radial", coef=2.0, power=p)
+       for p in (0.0, 1.0, 1.5, 2.0)},
+    "saturating": SAT,
+    "modulated radial": TMOD,
+    "modulated saturating": make_drift(
+        "time_modulated", dim=3, base_kind="saturating",
+        base_params={"eps": 0.5},
+        modulation={"kind": "piecewise", "times": [0.0, 0.5], "values": [0.0, 0.6]}),
+    "zero": make_drift("zero"),
+    "l1": make_drift("l1_subgradient", dim=3),
+}
+
+
+@pytest.mark.parametrize("name", list(FACTORED))
+@pytest.mark.parametrize("t", [0.0, 0.7], ids=["t0", "t07"])
+def test_factored_yosida_matches_definition(name, t):
+    # coef[..., None] * base against yosida = (resolvent - x)/alpha, row by
+    # row at scalar alpha, for the (A, 1) alpha column against (B, d) source
+    # states and (A, B, d) stacked states, with rows at r = 0.  Both forms
+    # take the same resolvent factor s/r (the same solve on the same
+    # (alpha, r)); they differ only in the last roundings.  The definition
+    # loses up to ulp(|x|) in J = (s/r) x and again in J - x, and the
+    # factored form at most a few relative ulp of |F| <= |x|/alpha, so each
+    # component agrees within a small multiple of ulp * |x| / alpha (the
+    # worst seen here is 1.05 of it; the bound allows 8).
+    # t = 0 is a zero of both modulations (|sin 0| and the piecewise knot)
+    drift = FACTORED[name]
+    rng = np.random.default_rng(12)
+    alpha = np.array([0.3, 0.01, 1e-3, 1e-5])[:, None]
+    A, B, d = alpha.shape[0], 40, 3
+    eps = np.finfo(float).eps
+    for x in (rng.standard_normal((B, d)) * 3, rng.standard_normal((A, B, d)) * 3):
+        x[..., ::7, :] = 0.0
+        coef, base, _ = drift.resolvent_warm(t, alpha, x)
+        assert coef.shape == (A, B)
+        if isinstance(drift, drifts.RadialFamily) or (
+                isinstance(drift, drifts.TimeModulatedDrift)
+                and isinstance(drift.base, drifts.RadialFamily)):
+            assert base is x
+        got = coef[..., None] * base
+        assert got.shape == (A, B, d)
+        for i, a in enumerate(alpha[:, 0]):
+            xi = x[i] if x.ndim == 3 else x
+            want = drift.yosida(t, a, xi)
+            tol = 8 * eps * np.linalg.norm(xi, axis=-1, keepdims=True) / a
+            assert np.all(np.abs(got[i] - want) <= tol), (name, a)
+            assert np.array_equal(got[i][::7], np.zeros_like(got[i][::7]))
 
 
 @settings(max_examples=100, deadline=None)

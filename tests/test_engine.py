@@ -195,6 +195,27 @@ def test_engine_p0_counts_match_stored(model4, grid):
     assert np.array_equal(res.p0_counts, counts)
 
 
+DENSITY_ALPHAS = (0.1, 0.03, 0.01, 0.003, 0.001)   # the density benchmark's
+
+
+def test_engine_girsanov_only_matches_stored_ops(model4, grid):
+    # the source-path sums alone, down to alpha = 1e-3, where the factored
+    # regularization coef * x and the definition (J - x)/alpha differ most
+    tasks = EnsembleTasks(alphas=DENSITY_ALPHAS, girsanov=True)
+    res = run_ensemble(model4, SAT, grid, tasks, 12, 99)
+    for pid in range(12):
+        p = sample_ou_path(model4, grid, 99, path_index=pid)
+        for ai, a in enumerate(DENSITY_ALPHAS):
+            assert zeta(p, SAT, a, model4) == \
+                pytest.approx(res.log_rho()[ai, pid], rel=1e-11, abs=1e-13)
+    for block_size, n_workers in ((5, 1), (4, 2)):
+        other = run_ensemble(model4, SAT, grid, tasks, 12, 99,
+                             block_size=block_size, n_workers=n_workers)
+        assert np.array_equal(res.zeta_mart, other.zeta_mart)
+        assert np.array_equal(res.zeta_quad, other.zeta_quad)
+        assert np.array_equal(res.final_w0, other.final_w0)
+
+
 def test_engine_stopped_exponent_frozen_at_tau(model4, grid):
     res = run_ensemble(model4, CUBIC, grid, TASKS, 12, 99)
     p = sample_ou_path(model4, grid, 99, path_index=4)
@@ -213,3 +234,13 @@ def test_engine_task_validation(model4, grid):
         run_ensemble(model4, SAT, grid,
                      EnsembleTasks(alphas=(0.1,), integrate=True,
                                    tau_levels=(1,), cert_levels=(2,)), 2, 1)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, np.nan, np.inf])
+def test_engine_rejects_bad_alpha(model4, grid, bad):
+    # a Girsanov-only pass needs no step-size check, so the alpha itself
+    # must be checked: 0 and NaN would give NaN exponents, a negative alpha
+    # finite ones that mean nothing
+    with pytest.raises(ValueError, match="alpha"):
+        run_ensemble(model4, SAT, grid,
+                     EnsembleTasks(alphas=(0.1, bad), girsanov=True), 2, 1)

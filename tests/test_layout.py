@@ -58,4 +58,5 @@ def test_traced_names_exist():
     for cls in (drifts.RadialDrift, drifts.SaturatingDrift,
                 drifts.TimeModulatedDrift):
         assert callable(cls.resolvent_warm)
-    assert "drift.resolvent_warm(" in inspect.getsource(engine._run_block)
+    # one call per role (w, X, y), so the tracer counts one per role per step
+    assert inspect.getsource(engine._run_block).count("drift.resolvent_warm(") == 3
