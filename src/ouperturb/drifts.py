@@ -266,11 +266,14 @@ class Drift:
         Returns ``(coef, base, state)`` with
         ``yosida(t, alpha, x) = coef[..., None] * base``, where ``coef`` has
         the leading shape of the broadcast of ``alpha`` (a column against the
-        leading axes, as in :meth:`resolvent`) with ``x``.  A step loop can
-        then sum ``coef * colsum(base * other)`` and never build the
-        regularization itself.  ``state`` is an opaque warm start, returned
-        for the next call with the same role; the resolvent behind ``coef``
-        satisfies the same residual contract as :meth:`resolvent`.
+        leading axes, as in :meth:`resolvent`) with ``x``.  ``t`` may be a
+        scalar or an array broadcast against the leading axes as well, such
+        as one time per row of a stack of states.  A step loop can then sum
+        ``coef * colsum(base * other)`` and never build the regularization
+        itself.  ``state`` is an opaque warm start covering every row it was
+        given, returned for the next call on states of the same shape; the
+        resolvent behind ``coef`` satisfies the same residual contract as
+        :meth:`resolvent`.
 
         This default returns ``coef = 1`` and ``base = yosida``, and ignores
         the state; :class:`RadialFamily` returns a scalar per state and

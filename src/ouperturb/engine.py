@@ -7,26 +7,31 @@ bit-identical for any block size and any worker count.
 
 The regularized states of all alphas form one ``(A, B, d)`` array (alphas,
 paths of the block, modes), and the Girsanov sums and the in-pass diagnostics
-act on the alpha axis at once.  Each step makes one ``resolvent_warm`` call
-per role -- the source path ``w``, the perturbed path ``X`` and the implicit
-step ``y`` -- with alpha as an ``(A, 1)`` column against the ``(A, B)`` norms
-and one ``(A, B)`` warm start per role.  The call returns the Yosida
-regularization factored as ``coef[..., None] * base`` with an ``(A, B)``
-``coef``, and each role takes one code path for every drift kind: the
-Girsanov sums add ``coef * colsum((base/sig) * dW)`` and
-``coef**2 * colsum((base/sig)**2) * dt``, and the implicit step adds
-``dt * coef`` times ``base``.  For the radial drifts ``base`` is the state
-itself, so on the source path, whose state is ``(B, d)``, both mode sums run
-once for all alphas and no ``(A, B, d)`` array is built; other kinds return
-``coef = 1`` and the full regularization as ``base``.  Sums over the mode
-axis go through :func:`drifts.colsum` in a fixed order.  The radial
-resolvents solve their norm equation in closed form for growth power 2
+act on the alpha axis at once.  All three roles of a step are known when it
+begins: the source path ``w`` and the perturbed path ``X`` at ``t_k``, and
+the implicit step's ``y = flow * z + w0_{k+1}`` at ``t_{k+1}``.  An
+integrate pass writes them into one preallocated ``(3, A, B, d)`` stack
+(``w`` broadcast over the alphas) and makes one ``resolvent_warm`` call per
+step, with a ``(3, 1, 1)`` time column, one time per role, alpha as an
+``(A, 1)`` column against the ``(3, A, B)`` norms, and one ``(3, A, B)``
+warm start; without Girsanov only the ``y`` row is resolved.  A
+Girsanov-only pass resolves ``w`` alone, as a ``(B, d)`` state.  The call
+returns the Yosida regularization factored as ``coef[..., None] * base``,
+and each role reads its row: the Girsanov sums add
+``coef * colsum((base/sig) * dW)`` and ``coef**2 * colsum((base/sig)**2) * dt``,
+and the implicit step adds ``dt * coef`` times ``base``.  For the radial
+drifts ``base`` is the stack itself, so the ``w`` sums run on the unbroadcast
+``(B, d)`` state, once for all alphas; other kinds return ``coef = 1`` and the
+full regularization as ``base``, and the ``w`` sums read its ``w`` row.  Sums
+over the mode axis go through :func:`drifts.colsum` in a fixed order.  The
+radial resolvents solve their norm equation in closed form for growth power 2
 (:func:`drifts.radial_scale`), so the warm start seeds only the Newton
 fallback: an element whose polished residual misses its contract, or any
 other power.  The closed form and the Newton solve both act per element, so
-a path's numbers depend neither on the other paths of its block nor on the
-other alphas of the run: that is what makes the cubic and
-time-modulated drifts invariant to block size, worker count and alpha set.
+a value depends neither on the other paths of its block, nor on the other
+alphas of the run, nor on the other roles of its step: that is what makes the
+cubic and time-modulated drifts invariant to block size, worker count and
+alpha set, and the stacked call bitwise equal to one call per role.
 
 Record and flush.  A step runs only what must run in sequence: the exact OU
 step, the Girsanov sums, and the implicit regularized step with its
@@ -450,7 +455,15 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
 
     # each path's generator with its rows of the noise buffer
     paths = list(zip((path_rng(master_seed, i) for i in range(p_lo, p_hi)), noise))
-    ws_w = ws_x = ws_z = None   # (A, B) warm-start states, one per role
+    # an integrate pass resolves its roles in one call per step: the source
+    # path w and the perturbed path X (with Girsanov) at t_k, and the
+    # implicit step's y at t_{k+1}, stacked in that order along a role axis
+    if integrate:
+        stack = np.empty((3, A, B, d))
+        roles = stack if girsanov else stack[2:]
+        t_roles = np.stack((times[:-1], times[:-1], times[1:]),
+                           axis=1)[:, 3 - len(roles):, None, None]
+    ws = None   # warm-start state of every role resolved
     for s in range(0, N + 1, F):
         n = min(F, N + 1 - s)       # nodes s .. s+n-1; node N takes no step
         steps = min(n, N - s)
@@ -463,7 +476,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             w_cur = w0 + mean_path[k]
             norm(w_cur, out=r_nw[j])
             if integrate:
-                X = z + w0
+                X = np.add(z, w0, out=stack[1])
                 if c:
                     norm(z[:, :c], out=r_nz[j])
                     norm(X[:, :c], out=r_nx[j])
@@ -480,19 +493,23 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             xi1 = noise[:, j, 0, :]
             dWk = sq * xi1
             w0_next = decay * w0 + g1 * xi1 + g2 * noise[:, j, 1, :]
-            t = times[k]
-            if girsanov:
-                coef, base, ws_w = drift.resolvent_warm(t, alpha_col, w_cur, ws_w)
-                girsanov_sums(coef, base, dWk, zeta_mart, zeta_quad)
-                if integrate:
-                    coef, base, ws_x = drift.resolvent_warm(t, alpha_col, X, ws_x)
-                    girsanov_sums(coef, base, dWk, rt_mart, rt_quad)
             if integrate:
                 zp = flow * z
-                y = zp + w0_next
-                coef, base, ws_z = drift.resolvent_warm(times[k + 1], alpha_col, y,
-                                                        ws_z)
-                z = zp + (dt * coef)[..., None] * base
+                np.add(zp, w0_next, out=stack[2])
+                if girsanov:
+                    stack[0] = w_cur
+                coef, base, ws = drift.resolvent_warm(t_roles[k], alpha_col,
+                                                      roles, ws)
+                if girsanov:
+                    # a radial base is the stack itself: its w rows repeat
+                    # w_cur, so the w sums run once on the (B, d) state
+                    girsanov_sums(coef[0], w_cur if base is roles else base[0],
+                                  dWk, zeta_mart, zeta_quad)
+                    girsanov_sums(coef[1], base[1], dWk, rt_mart, rt_quad)
+                z = zp + (dt * coef[-1])[..., None] * base[-1]
+            elif girsanov:
+                coef, base, ws = drift.resolvent_warm(times[k], alpha_col, w_cur, ws)
+                girsanov_sums(coef, base, dWk, zeta_mart, zeta_quad)
             w0[...] = w0_next
         flush(s, n)
 

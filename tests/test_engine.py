@@ -19,6 +19,12 @@ SAT = make_drift("saturating", eps=1.0)
 CUBIC = make_drift("radial", power=2.0)
 TMOD = make_drift("time_modulated", base_kind="radial",
                   base_params={"power": 2.0})
+# switched off at t = 0.5, node 200 of the 400-step grid: the step from node
+# 199 resolves w and X at m = 1 and the implicit step's y at m = 0
+TMOD_PW = make_drift("time_modulated", base_kind="saturating",
+                     modulation={"kind": "piecewise", "times": [0.0, 0.5],
+                                 "values": [1.0, 0.0]})
+L1 = make_drift("l1_subgradient", dim=4)
 
 TASKS = EnsembleTasks(alphas=(0.1, 0.03), integrate=True, girsanov=True,
                       tau_levels=(0, 1, 2, 3), stop_zeta_levels=(2,),
@@ -32,7 +38,8 @@ def grid():
     return PathGrid(400, 1.0)
 
 
-@pytest.fixture(scope="module", params=[SAT, CUBIC], ids=["sat", "cubic"])
+@pytest.fixture(scope="module", params=[SAT, CUBIC, TMOD, TMOD_PW],
+                ids=["sat", "cubic", "tmod", "tmod_pw"])
 def pair(request, model4, grid):
     drift = request.param
     res = run_ensemble(model4, drift, grid, TASKS, 12, 99)
@@ -62,6 +69,30 @@ def test_engine_matches_stored_ops(model4, grid, pair):
                                       make_weight("power", 2.0))
             assert wrep.worst_margin == \
                 pytest.approx(res.weight_margin[0, 0, pid], rel=1e-9)
+
+
+@pytest.mark.parametrize("drift", [CUBIC, L1], ids=["cubic", "l1"])
+def test_engine_source_sums_match_girsanov_only(model4, grid, drift):
+    # the full pass resolves w in the stacked call, a Girsanov-only pass
+    # alone: the radial w sums run on the (B, d) state in both, the l1 ones
+    # on the stack's w row against the (A, B, d) regularization
+    full = run_ensemble(model4, drift, grid, TASKS, 12, 99)
+    alone = run_ensemble(model4, drift, grid,
+                         EnsembleTasks(alphas=TASKS.alphas, girsanov=True), 12, 99)
+    assert np.array_equal(full.zeta_mart, alone.zeta_mart)
+    assert np.array_equal(full.zeta_quad, alone.zeta_quad)
+
+
+@pytest.mark.parametrize("lam", [2.0, 50.0])
+def test_engine_lambda_y_matches_stored_ops(model4, grid, lam):
+    tasks = EnsembleTasks(alphas=TASKS.alphas, integrate=True, girsanov=True,
+                          lambda_y=lam)
+    res = run_ensemble(model4, CUBIC, grid, tasks, 12, 99)
+    for pid in (0, 5, 11):
+        p = sample_ou_path(model4, grid, 99, path_index=pid)
+        for ai, a in enumerate(TASKS.alphas):
+            sol = integrate_Z(model4, CUBIC, a, p, lambda_y=lam)
+            assert np.allclose(sol.z[-1], res.z_final[ai, pid], atol=1e-13)
 
 
 def test_engine_fields_match_stored(model4, grid, pair):
