@@ -66,6 +66,7 @@ class RunState:
     checks: list = field(default_factory=list)
     files: list = field(default_factory=list)
     stages_done: list = field(default_factory=list)
+    stage_seconds: dict = field(default_factory=dict)   # stage (or "pass") -> s
     result: object = None
     tail: object = None
     tail_table: object = None
@@ -80,8 +81,14 @@ class RunState:
         self.say(f"  [{'PASS' if check.passed else 'FAIL'}] {check.id} "
                  f"margin={check.margin:.6g} {check.detail}")
 
-    def emit(self, name, header, rows):
-        path = write_csv(self.out / name, header, rows)
+    def emit(self, name, header, columns):
+        """Write one CSV artifact from whole columns and list it in the manifest.
+
+        ``columns`` follows ``write_csv``: one equal-length 1-D column per
+        header entry.  Per-path tables are built from the result arrays in
+        alpha-major order (``np.repeat`` over alphas, ``np.tile`` over paths).
+        """
+        path = write_csv(self.out / name, header, columns)
         self.files.append(path)
         return path
 
@@ -116,11 +123,12 @@ def ensure_ensemble(state: RunState):
     state.say(f"running streaming pass: {cfg.n_paths} paths x "
               f"{cfg.grid.n_steps} steps x {len(cfg.alphas)} alphas "
               f"({state.n_workers} workers)")
-    t0 = time.time()
+    t0 = time.perf_counter()
     state.result = run_ensemble(cfg.model, cfg.drift, cfg.grid, tasks,
                                 cfg.n_paths, cfg.master_seed,
                                 n_workers=state.n_workers)
-    state.say(f"  pass done in {time.time() - t0:.1f}s")
+    state.stage_seconds["pass"] = time.perf_counter() - t0
+    state.say(f"  pass done in {state.stage_seconds['pass']:.1f}s")
     return state.result
 
 
@@ -143,42 +151,43 @@ def stage_simulate(state: RunState):
     se_var = var_ex * np.sqrt(2.0 / max(n - 1, 1))
     z_mean = np.abs(emp_mean - mean_ex) / se_mean
     z_var = np.abs(emp_var - var_ex) / se_var
-    rows = [(i, float(emp_mean[i]), float(mean_ex[i]), float(z_mean[i]),
-             float(emp_var[i]), float(var_ex[i]), float(z_var[i]))
-            for i in range(model.dim)]
     state.emit("moments.csv",
                ["mode", "mean_emp", "mean_exact", "z_mean", "var_emp",
-                "var_exact", "z_var"], rows)
+                "var_exact", "z_var"],
+               [np.arange(model.dim)] + [np.asarray(c, dtype=float) for c in
+                                         (emp_mean, mean_ex, z_mean, emp_var,
+                                          var_ex, z_var)])
     state.add(Check("ou.moments", bool(np.all(z_mean <= 4) and np.all(z_var <= 4)),
                     float(4 - max(z_mean.max(), z_var.max())),
                     f"max z_mean={z_mean.max():.2f} z_var={z_var.max():.2f}"))
 
     fr = fernique_probe(res.w0_max, GAMMA_GRID)
     state.emit("fernique.csv", ["gamma", "estimate", "stderr", "stable"],
-               [(r.gamma, r.estimate, r.stderr, r.stable) for r in fr])
+               [[r.gamma for r in fr], [r.estimate for r in fr],
+                [r.stderr for r in fr], [r.stable for r in fr]])
     g_star = largest_stable_gamma(fr)
     state.add(Check("ou.fernique_stable_gamma", g_star is not None,
                     g_star or 0.0, f"largest stable gamma = {g_star}"))
 
     state.tail = p0_from_counts(cfg.s_grid, res.p0_counts, cfg.n_paths)
     state.emit("p0.csv", ["s", "p0"],
-               [(float(s), float(p)) for s, p in zip(state.tail.s, state.tail.p0)])
+               [np.asarray(state.tail.s, dtype=float),
+                np.asarray(state.tail.p0, dtype=float)])
 
     paths = sample_ou_paths(model, grid, min(N_DUMP_PATHS, cfg.n_paths),
                             cfg.master_seed)
-    rows = []
-    for pid, p in enumerate(paths):
-        w = p.w
-        for k in range(grid.n_steps + 1):
-            dw = p.dW[k - 1] if k > 0 else np.zeros(model.dim)
-            rows.append((pid, k, float(grid.times[k]),
-                         *[float(v) for v in w[k]],
-                         *[float(v) for v in dw],
-                         float(p.running_max[k])))
-    d = model.dim
+    # one row per (path, node); the increment column is 0 at node 0
+    d, n_nodes = model.dim, grid.n_steps + 1
+    w = np.concatenate([p.w for p in paths])
+    dw = np.concatenate([np.vstack([np.zeros((1, d)), p.dW]) for p in paths])
     state.emit("paths.csv",
                ["path_id", "k", "t"] + [f"w_{j+1}" for j in range(d)]
-               + [f"dW_{j+1}" for j in range(d)] + ["running_max"], rows)
+               + [f"dW_{j+1}" for j in range(d)] + ["running_max"],
+               [np.repeat(np.arange(len(paths)), n_nodes),
+                np.tile(np.arange(n_nodes), len(paths)),
+                np.tile(grid.times, len(paths)),
+                *w.T, *dw.T,
+                np.concatenate([p.running_max for p in paths])])
     state.stages_done.append("simulate")
 
 
@@ -189,21 +198,21 @@ def stage_sweep(state: RunState):
     A = len(cfg.alphas)
     nc = res.bound_viol["z_half"].shape[1]
 
-    tau = res.tau
-    rows = []
-    for ai, a in enumerate(cfg.alphas):
-        gap = res.sup_gaps[ai] if ai < A - 1 else np.full(cfg.n_paths, np.nan)
-        for pid in range(cfg.n_paths):
-            bv = ""
-            if pid < nc:
-                bv = int(res.bound_viol["z_full"][ai, pid]
-                         + res.bound_viol["x_full"][ai, pid]
-                         + res.bound_viol["gronwall_sq"][ai, pid])
-            rows.append((a, pid, float(gap[pid]), bv,
-                         *[float(tau[li, pid]) for li in range(len(cfg.tau_levels))]))
+    # one row per (alpha, path); the finest alpha has no next gap, and only
+    # the first nc paths carry bound violations
+    P = cfg.n_paths
+    gap = np.full((A, P), np.nan)
+    gap[:A - 1] = res.sup_gaps[:A - 1]
+    bv = np.full((A, P), "", dtype=object)
+    bv[:, :nc] = (res.bound_viol["z_full"] + res.bound_viol["x_full"]
+                  + res.bound_viol["gronwall_sq"]).astype(np.int64)
+    tau = np.asarray(res.tau, dtype=float)
     state.emit("sweep.csv",
                ["alpha", "path_id", "sup_gap_to_next_alpha", "bound_violations"]
-               + [f"tau_{l}" for l in cfg.tau_levels], rows)
+               + [f"tau_{l}" for l in cfg.tau_levels],
+               [np.repeat(np.asarray(cfg.alphas, dtype=float), P),
+                np.tile(np.arange(P), A), gap.reshape(-1), bv.reshape(-1),
+                *(np.tile(tau[li], A) for li in range(len(cfg.tau_levels)))])
 
     for name, stated in (("z_half", True), ("z_full", False), ("x_full", False),
                          ("gronwall_sq", False)):
@@ -223,15 +232,12 @@ def stage_sweep(state: RunState):
     candidate, clamps = cesaro_limit(list(res.field_x[-tail_count:]), comp)
     tgrid = TestMeasureGrid.build(res.snap_times, res.field_x.shape[1],
                                   dim=cfg.model.dim)
-    gap_rows = []
-    gap_seq = []
-    for ai in range(A):
-        gm = weak_gap(res.field_x[ai], candidate, tgrid, comp)
-        gap_seq.append(gm.max_gap)
-        for set_id, fid, gap in gm.rows:
-            gap_rows.append((set_id, fid, ai, gap))
+    gms = [weak_gap(res.field_x[ai], candidate, tgrid, comp) for ai in range(A)]
+    gap_seq = [gm.max_gap for gm in gms]
+    set_ids, fids, gaps = zip(*(row for gm in gms for row in gm.rows))
     state.emit("gaps.csv", ["set_id", "functional_id", "alpha_index", "gap"],
-               gap_rows)
+               [set_ids, fids, np.repeat(np.arange(A), len(gms[0].rows)),
+                np.array(gaps)])
     lr = limsup_check(list(res.field_x), candidate)
     state.add(Check("pseudoweak.limsup", lr.passed, -lr.worst_excess,
                     f"{lr.violations} violations on {lr.n_points} points"))
@@ -254,22 +260,22 @@ def stage_phi(state: RunState):
     cfg = state.cfg
     res = ensure_ensemble(state)
     state.say("stage phi-check")
+    A = len(cfg.alphas)
     nc = res.weight_viol.shape[2] if res.weight_viol is not None else 0
     for wi, w in enumerate(cfg.weights):
         viol = int(res.weight_viol[wi].sum())
         worst = float(res.weight_margin[wi].min())
         over = int(res.weight_overflow[wi])
-        # one row per (path, alpha): the node attaining the smallest margin
-        rows = []
-        for ai, a in enumerate(cfg.alphas):
-            for pid in range(nc):
-                rows.append((pid, a, int(res.weight_node[wi, ai, pid]),
-                             float(res.weight_lhs[wi, ai, pid]),
-                             float(res.weight_rhs[wi, ai, pid]),
-                             res.weight_viol[wi, ai, pid] == 0))
+        # one row per (alpha, path): the node attaining the smallest margin
         name = w.kind if w.kind != "power" else f"power{w.p:g}"
         state.emit(f"phi_bounds_{name}.csv",
-                   ["path_id", "alpha", "node", "lhs", "rhs", "pass"], rows)
+                   ["path_id", "alpha", "node", "lhs", "rhs", "pass"],
+                   [np.tile(np.arange(nc), A),
+                    np.repeat(np.asarray(cfg.alphas, dtype=float), nc),
+                    res.weight_node[wi, :, :nc].astype(np.int64).reshape(-1),
+                    np.asarray(res.weight_lhs[wi, :, :nc], dtype=float).reshape(-1),
+                    np.asarray(res.weight_rhs[wi, :, :nc], dtype=float).reshape(-1),
+                    (res.weight_viol[wi, :, :nc] == 0).reshape(-1)])
         state.add(Check(f"phi.bound_{name}", bound_gate(viol, worst), worst,
                         f"stated form; {viol} node violations, "
                         f"{over} overflow nodes"))
@@ -299,18 +305,18 @@ def stage_phi(state: RunState):
 
     # estimate-constant certification on deterministic pseudo-random triples
     rng = np.random.default_rng(cfg.master_seed + 77)
-    rows = []
+    kinds, triples, ests = [], [], []
     worst_excess = -np.inf
     closed_bad = 0
     for w in cfg.weights:
-        triples = []
+        w_triples = []
         for _ in range(200):
             c = float(rng.uniform(0.01, 3.0))
             beta = float(rng.uniform(0.3, 2.0))
             bmax = beta * min(w.ratio_limit, 4.0)
-            triples.append((c, beta, float(rng.uniform(1e-3, 0.95 * bmax))))
-        for (c, beta, B), est in zip(triples,
-                                     estimate_constant(w, *np.array(triples).T)):
+            w_triples.append((c, beta, float(rng.uniform(1e-3, 0.95 * bmax))))
+        for (c, beta, B), est in zip(w_triples,
+                                     estimate_constant(w, *np.array(w_triples).T)):
             # one triple at a time: the re-check is arithmetic on 4001-point
             # rows, not per-call overhead, and 2-D row blocks ran no faster
             u0 = max(c**2 / beta**2, c**2 / (4 * (beta - B) ** 2)) \
@@ -325,12 +331,14 @@ def stage_phi(state: RunState):
                         closed_bad += 1
                 elif abs(est.closed_form - est.value) > 1e-6 * max(1.0, est.value):
                     closed_bad += 1
-            rows.append((w.kind, c, beta, B, est.value,
-                         est.closed_form if est.closed_form is not None else "",
-                         est.u_argmax))
+            ests.append(est)
+        kinds += [w.kind] * len(w_triples)
+        triples += w_triples
     state.emit("lemma_constants.csv",
                ["kind", "c", "beta", "B", "constant", "closed_form", "u_argmax"],
-               rows)
+               [kinds, *np.array(triples).T, [e.value for e in ests],
+                ["" if e.closed_form is None else e.closed_form for e in ests],
+                [e.u_argmax for e in ests]])
     state.add(Check("phi.constant_dominates", worst_excess <= 1e-9, -worst_excess,
                     f"max relative excess {worst_excess:.2e}"))
     state.add(Check("phi.closed_forms", closed_bad == 0, -closed_bad,
@@ -344,74 +352,67 @@ def stage_girsanov(state: RunState):
     state.say("stage girsanov")
     ens = res.density_ensemble(cfg.model, cfg.drift, cfg.master_seed)
 
-    lr = ens.log_rho
-    lrt = ens.log_rho_tilde
-    tau = ens.tau
-    rows = []
-    for ai, a in enumerate(cfg.alphas):
-        for pid in range(cfg.n_paths):
-            rows.append((pid, a, float(lr[ai, pid]), float(lr[ai, pid]),
-                         float(lrt[ai, pid]),
-                         *[float(tau[li, pid]) for li in range(len(cfg.tau_levels))]))
+    # one row per (alpha, path)
+    A, P = len(cfg.alphas), cfg.n_paths
+    lr = np.asarray(ens.log_rho, dtype=float).reshape(-1)
+    tau = np.asarray(ens.tau, dtype=float)
     state.emit("density.csv",
                ["path_id", "alpha", "zeta_T", "log_rho", "log_rho_tilde"]
-               + [f"tau_{l}" for l in cfg.tau_levels], rows)
+               + [f"tau_{l}" for l in cfg.tau_levels],
+               [np.tile(np.arange(P), A),
+                np.repeat(np.asarray(cfg.alphas, dtype=float), P), lr, lr,
+                np.asarray(ens.log_rho_tilde, dtype=float).reshape(-1),
+                *(np.tile(tau[li], A) for li in range(len(cfg.tau_levels)))])
 
-    mart_rows = []
-    all_pass = True
-    worst = 4.0
-    for ai, a in enumerate(cfg.alphas):
-        r = martingale_check(ens, ai)
-        mart_rows.append((a, r.mean, r.stderr, r.passed))
-        all_pass &= r.passed
-        if r.stderr > 0:
-            worst = min(worst, 4.0 - abs(r.mean - 1.0) / r.stderr)
-    state.emit("martingale.csv", ["alpha", "mean", "stderr", "pass"], mart_rows)
+    mart = [martingale_check(ens, ai) for ai in range(A)]
+    all_pass = all(r.passed for r in mart)
+    worst = min([4.0] + [4.0 - abs(r.mean - 1.0) / r.stderr
+                         for r in mart if r.stderr > 0])
+    state.emit("martingale.csv", ["alpha", "mean", "stderr", "pass"],
+               [cfg.alphas, [r.mean for r in mart], [r.stderr for r in mart],
+                [r.passed for r in mart]])
     state.add(Check("girsanov.martingale", bool(all_pass), float(worst),
                     f"{len(cfg.alphas)} alphas"))
 
-    stop_rows = []
-    all_pass = True
-    for ai, a in enumerate(cfg.alphas):
-        for lvl in cfg.tau_levels:
-            if lvl == 0:
-                continue
-            r = stopped_moment_bound(ens, lvl, cfg.model, cfg.drift, ai)
-            stop_rows.append((lvl, a, r.estimate, r.stderr, r.bound,
-                              r.n_kept, r.passed))
-            all_pass &= r.passed
+    cells = [(lvl, a, stopped_moment_bound(ens, lvl, cfg.model, cfg.drift, ai))
+             for ai, a in enumerate(cfg.alphas)
+             for lvl in cfg.tau_levels if lvl != 0]
+    stop = [r for _, _, r in cells]
     state.emit("stopped.csv",
                ["level", "alpha", "estimate", "stderr", "bound", "n_kept", "pass"],
-               stop_rows)
-    state.add(Check("girsanov.stopped_moment", bool(all_pass), 0.0,
-                    f"{len(stop_rows)} (level, alpha) cells"))
+               [[lvl for lvl, _, _ in cells], [a for _, a, _ in cells],
+                [r.estimate for r in stop], [r.stderr for r in stop],
+                [r.bound for r in stop], [r.n_kept for r in stop],
+                [r.passed for r in stop]])
+    state.add(Check("girsanov.stopped_moment", all(r.passed for r in stop), 0.0,
+                    f"{len(stop)} (level, alpha) cells"))
 
     tt = tail_table(cfg.y_grid, ens.exit_counts(), cfg.n_paths,
                     cfg.tau_levels, cfg.drift.bound,
                     cfg.model.inv_sigma_norm, cfg.model.horizon)
     state.emit("p_table.csv", ["y", "n_of_y", "p", "p_rearranged", "p_upper"],
-               list(tt.rows()))
+               [np.asarray(tt.y, dtype=float), tt.level.astype(np.int64),
+                *(np.asarray(c, dtype=float)
+                  for c in (tt.p, tt.p_rearranged, tt.p_upper))])
     ok = bool(np.all(tt.p <= 1.0 + 1e-12)
               and np.all(tt.p >= 1.0 / tt.y - 1e-12))
     state.add(Check("girsanov.tail_table", ok,
                     float(np.min(1.0 - tt.p)), f"capped={tt.capped}"))
     state.tail_table = tt
 
-    ent_rows = []
-    reports = []
-    all_pass = True
     weight = ClosedFormWeight(cfg.psi_delta)
-    for ai, a in enumerate(cfg.alphas):
-        r = entropy_statistic(ens, weight, ai)
-        reports.append(r)
-        ent_rows.append((a, r.route_source, r.stderr_source, r.route_perturbed,
-                         r.stderr_perturbed, r.passed))
-        all_pass &= r.passed
+    reports = [entropy_statistic(ens, weight, ai) for ai in range(A)]
     state.emit("entropy.csv",
                ["alpha", "route_reweighted", "stderr_reweighted",
-                "route_perturbed", "stderr_perturbed", "pass"], ent_rows)
+                "route_perturbed", "stderr_perturbed", "pass"],
+               [cfg.alphas, [r.route_source for r in reports],
+                [r.stderr_source for r in reports],
+                [r.route_perturbed for r in reports],
+                [r.stderr_perturbed for r in reports],
+                [r.passed for r in reports]])
     ratio = entropy_stability(reports)
-    state.add(Check("girsanov.entropy_two_route", bool(all_pass), 0.0,
+    state.add(Check("girsanov.entropy_two_route",
+                    all(r.passed for r in reports), 0.0,
                     f"{len(cfg.alphas)} alphas"))
     state.add(Check("girsanov.entropy_alpha_stable", ratio < 3.0, 3.0 - ratio,
                     f"max/min ratio {ratio:.4f}"))
@@ -446,10 +447,10 @@ def stage_psi(state: RunState):
         with np.errstate(over="ignore", divide="ignore"):
             vals = wt.value(ys)
             derivs = wt.deriv(ys)
-        rows = [(float(y), float(p), int(n), float(v), float(dv))
-                for y, p, n, v, dv in zip(ys, tt.p, tt.level, vals, derivs)]
         state.emit(f"psi_{name}.csv", ["y", "p", "n_of_y", "psi", "psi_prime"],
-                   rows)
+                   [np.asarray(ys, dtype=float), np.asarray(tt.p, dtype=float),
+                    tt.level.astype(np.int64), np.asarray(vals, dtype=float),
+                    np.asarray(derivs, dtype=float)])
         mono = bool(np.all(np.diff(vals) >= -1e-12))
         state.add(Check(f"psi.monotone_{name}", mono, 0.0, ""))
 
@@ -499,6 +500,7 @@ def write_manifest(state: RunState, status: str, wall: float) -> Path:
         "status": status,
         "wall_clock_s": wall,
         "stages": state.stages_done,
+        "stage_seconds": state.stage_seconds,
         "config": state.cfg.describe(),
         "checks": [c.row() for c in state.checks],
         "files": [{"name": p.name, "sha256": sha256_file(p),
@@ -545,25 +547,38 @@ def report_from_manifest(out_dir, quiet: bool = False) -> int:
     (out / "summary.txt").write_text(text)
     if not quiet:
         print(text)
+        secs = manifest.get("stage_seconds", {})
+        if secs:
+            print("seconds: " + ", ".join(f"{k} {v:.3f}" for k, v in secs.items()))
     incomplete = manifest.get("status") == "failed"
     return 0 if (n_fail == 0 and not incomplete) else 1
 
 
 def run_stages(state: RunState, stages) -> int:
-    """Run the requested stages; returns the exit code (0 pass, 1 failures)."""
-    t0 = time.time()
+    """Run the requested stages; returns the exit code (0 pass, 1 failures).
+
+    Each stage's seconds go to ``state.stage_seconds``, less the streaming
+    pass, which ``ensure_ensemble`` records under ``"pass"`` when the first
+    stage that needs it runs it.
+    """
+    t0 = time.perf_counter()
     table = {"simulate": stage_simulate, "sweep": stage_sweep,
              "phi-check": stage_phi, "girsanov": stage_girsanov,
              "psi": stage_psi, "report": stage_report}
     status = "ok"
     try:
         for s in stages:
+            t = time.perf_counter()
+            pass_before = state.stage_seconds.get("pass", 0.0)
             table[s](state)
+            state.stage_seconds[s] = (time.perf_counter() - t
+                                      - (state.stage_seconds.get("pass", 0.0)
+                                         - pass_before))
     except Exception:
-        write_manifest(state, "failed", time.time() - t0)
+        write_manifest(state, "failed", time.perf_counter() - t0)
         raise
     n_fail = sum(1 for c in state.checks if not c.passed)
     if n_fail:
         status = "check_failures"
-    write_manifest(state, status, time.time() - t0)
+    write_manifest(state, status, time.perf_counter() - t0)
     return 0 if n_fail == 0 else 1

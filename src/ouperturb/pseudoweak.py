@@ -120,28 +120,30 @@ def weak_gap(field_a: np.ndarray, field_b: np.ndarray, grid: TestMeasureGrid,
 
     Fields have shape ``(n_paths, n_nodes, d)``; the measure is
     ``dt x uniform(paths)``.  Clipped per-path scalar functionals are included
-    alongside the bilinear ones.
+    alongside the bilinear ones.  Each (window, time mode) is projected once
+    over all paths, and a path subset sums its rows of that projection: the
+    einsum reduces each ``(path, coordinate)`` over nodes on its own, so the
+    sums see the same values in the same order as a projection of the subset.
     """
     comp = compression or BallCompression()
-    diff = comp.apply(field_a) - comp.apply(field_b)     # (P, S, d)
-    P = diff.shape[0]
+    ca = comp.apply(field_a)
+    cb = comp.apply(field_b)
+    diff = ca - cb                                       # (P, S, d)
     rows = []
     worst = 0.0
     for wname, wmask in grid.time_windows:
+        projs = [np.einsum("k,pkj->pj", grid.weights * mvals * wmask, diff)
+                 / grid.n_paths for _, mvals in grid.time_modes]
         for pname, pmask in grid.path_subsets:
             if not pmask.any():
                 continue
-            sub = diff[pmask]
-            for mname, mvals in grid.time_modes:
-                wv = grid.weights * mvals * wmask
-                proj = np.einsum("k,pkj->pj", wv, sub) / grid.n_paths
+            for (mname, _), proj in zip(grid.time_modes, projs):
+                sub = proj[pmask]
                 for j in grid.space_modes:
-                    gap = abs(float(np.sum(proj[:, j])))
+                    gap = abs(float(np.sum(sub[:, j])))
                     rows.append((f"{wname}|{pname}", f"{mname}*e{j}", gap))
                     worst = max(worst, gap)
     # clipped scalar functionals on the full window
-    ca = comp.apply(field_a)
-    cb = comp.apply(field_b)
     for mname, mvals in grid.time_modes:
         wv = grid.weights * mvals
         ga = np.einsum("k,pkj->pj", wv, ca)

@@ -64,11 +64,6 @@ class TailTable:
     p_upper: np.ndarray       # Wilson-upper variant, for conservative envelopes
     capped: bool
 
-    def rows(self):
-        for i in range(self.y.size):
-            yield (float(self.y[i]), int(self.level[i]), float(self.p[i]),
-                   float(self.p_rearranged[i]), float(self.p_upper[i]))
-
 
 def tail_table(y_grid, exit_counts, n_paths: int, levels, bound_fn,
                inv_sigma_norm: float, horizon: float) -> TailTable:

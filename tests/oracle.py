@@ -24,6 +24,9 @@ margins are always reported.
 
 Girsanov exponents use left-point (non-anticipating) sums along the stored
 path; the weighted moment bound is checked node by node along one solution.
+
+The weak-limit gap matrix is kept here in its plain loop form, one
+projection per (window, path subset, time mode).
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 from ouperturb.drifts import Drift
 from ouperturb.model import GalerkinModel, regularized_beta, yosida_eigenvalues
 from ouperturb.ou import PathGrid, SamplePath, sample_ou_block
+from ouperturb.pseudoweak import BallCompression, GapMatrix, TestMeasureGrid
 from ouperturb.weights import MomentBoundReport, WeightFunction
 
 # ---------------------------------------------------------------------------
@@ -380,3 +384,49 @@ def check_moment_bound(solution, model, drift, w: WeightFunction,
     return MomentBoundReport(w.kind, int(np.sum(~(margin >= 0))),
                              float(np.min(margin)), int(np.sum(~finite)),
                              times.size)
+
+
+# ---------------------------------------------------------------------------
+# weak-limit gaps
+
+
+def weak_gap(field_a: np.ndarray, field_b: np.ndarray, grid: TestMeasureGrid,
+             compression: BallCompression | None = None) -> GapMatrix:
+    """Quadrature gaps ``|int_A <psi(Fa) - psi(Fb), h> dmu|`` over the family.
+
+    Fields have shape ``(n_paths, n_nodes, d)``; the measure is
+    ``dt x uniform(paths)``.  Clipped per-path scalar functionals are included
+    alongside the bilinear ones.
+    """
+    comp = compression or BallCompression()
+    diff = comp.apply(field_a) - comp.apply(field_b)     # (P, S, d)
+    P = diff.shape[0]
+    rows = []
+    worst = 0.0
+    for wname, wmask in grid.time_windows:
+        for pname, pmask in grid.path_subsets:
+            if not pmask.any():
+                continue
+            sub = diff[pmask]
+            for mname, mvals in grid.time_modes:
+                wv = grid.weights * mvals * wmask
+                proj = np.einsum("k,pkj->pj", wv, sub) / grid.n_paths
+                for j in grid.space_modes:
+                    gap = abs(float(np.sum(proj[:, j])))
+                    rows.append((f"{wname}|{pname}", f"{mname}*e{j}", gap))
+                    worst = max(worst, gap)
+    # clipped scalar functionals on the full window
+    ca = comp.apply(field_a)
+    cb = comp.apply(field_b)
+    for mname, mvals in grid.time_modes:
+        wv = grid.weights * mvals
+        ga = np.einsum("k,pkj->pj", wv, ca)
+        gb = np.einsum("k,pkj->pj", wv, cb)
+        for j in grid.space_modes:
+            for level in grid.clip_levels:
+                da = np.clip(ga[:, j], -level, level)
+                db = np.clip(gb[:, j], -level, level)
+                gap = abs(float(np.mean(da - db)))
+                rows.append(("all_t|all_p", f"{mname}*e{j}|clip{level:g}", gap))
+                worst = max(worst, gap)
+    return GapMatrix(rows, worst)

@@ -7,6 +7,8 @@ from ouperturb import (BallCompression, TestMeasureGrid, cesaro_limit,
                        limsup_check, weak_gap)
 from ouperturb.pseudoweak import separates
 
+import oracle
+
 COMP = BallCompression()
 
 
@@ -132,3 +134,19 @@ def test_separating_family():
     b[:, :, 0] += 0.3
     assert separates(grid, a, b)
     assert not separates(grid, a, a)
+
+
+@pytest.mark.parametrize("kind", ["saturating", "identity"])
+@pytest.mark.parametrize("n_paths", [1, 7, 48])
+def test_weak_gap_matches_plain_loop(n_paths, kind):
+    # one projection per (window, mode) gives the plain loop's rows bit for
+    # bit; with 1 path the empty odd and first-half subsets are skipped
+    comp = BallCompression(kind)
+    grid, _ = _grid(n_nodes=41, n_paths=n_paths, dim=3)
+    rng = np.random.default_rng(100 + n_paths)
+    a = rng.standard_normal((n_paths, 41, 3)) * 3.0
+    b = a + 0.1 * rng.standard_normal((n_paths, 41, 3))
+    got = weak_gap(a, b, grid, comp)
+    want = oracle.weak_gap(a, b, grid, comp)
+    assert got.rows == want.rows
+    assert got.max_gap == want.max_gap
