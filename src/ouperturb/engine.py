@@ -5,6 +5,23 @@ of 1e5 paths on 1e4-node grids fit in memory.  Per path, every accumulation
 happens in fixed step order from a per-path generator stream, so results are
 bit-identical for any block size and any worker count.
 
+Blocks.  :func:`split_paths` gives each block an equal share of the checked
+paths -- the first ``n_check_paths``, on which the pathwise and weighted
+moment checks run node by node -- and an equal share of the others, so the
+blocks cost about the same whatever a checked path costs, and the workers
+finish together.  A block's ids ascend, so its checked and field paths are
+its leading rows; :func:`run_ensemble` joins the blocks' arrays in path-id
+order.
+
+Mode-major state.  The path state is stored with the mode axis slowest in
+memory: ``w0`` is a ``(B, d)`` view of a ``(d, B)`` array, and likewise the
+regularized states ``z`` and the role stack below.  The mode axis is still
+the last axis of every view, so the code reads as on ``(..., d)`` arrays,
+and every array computed from them follows the same layout through numpy's
+``order='K'``.  Each mode's column is then one contiguous row, which is what
+the per-mode broadcasts and the :func:`drifts.colsum` sums over the short
+mode axis read.  Each step's noise is copied once into a ``(2, d, B)`` slab.
+
 The regularized states of all alphas form one ``(A, B, d)`` array (alphas,
 paths of the block, modes), and the Girsanov sums and the in-pass diagnostics
 act on the alpha axis at once.  All three roles of a step are known when it
@@ -29,9 +46,10 @@ radial resolvents solve their norm equation in closed form for growth power 2
 fallback: an element whose polished residual misses its contract, or any
 other power.  The closed form and the Newton solve both act per element, so
 a value depends neither on the other paths of its block, nor on the other
-alphas of the run, nor on the other roles of its step: that is what makes the
-cubic and time-modulated drifts invariant to block size, worker count and
-alpha set, and the stacked call bitwise equal to one call per role.
+alphas of the run, nor on the other roles of its step, nor on the memory
+layout: that is what makes the cubic and time-modulated drifts invariant to
+block size, worker count and alpha set, and the stacked call bitwise equal
+to one call per role.
 
 Record and flush.  A step runs only what must run in sequence: the exact OU
 step, the Girsanov sums, and the implicit regularized step with its
@@ -154,6 +172,7 @@ class EnsembleResult:
     snap_times: np.ndarray | None = None
     p0_counts: np.ndarray | None = None
     z_final: np.ndarray | None = None
+    blocks: tuple = ()      # (paths, checked paths) of each block, in order
 
     @property
     def tau(self) -> np.ndarray | None:
@@ -229,8 +248,8 @@ def _fold_margins(margin, viol, worst):
 
 
 def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
-               tasks: EnsembleTasks, master_seed: int, p_lo: int, p_hi: int):
-    B, N, d = p_hi - p_lo, grid.n_steps, model.dim
+               tasks: EnsembleTasks, master_seed: int, ids: np.ndarray):
+    B, N, d = len(ids), grid.n_steps, model.dim
     dt = grid.dt
     times = grid.times
     decay, g1, g2 = step_constants(model, dt)
@@ -264,17 +283,21 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     stop_li = [levels.index(lvl) for lvl in tasks.stop_zeta_levels]
     cert_li = [levels.index(lvl) for lvl in tasks.cert_levels]
     cert_lvl = np.asarray(tasks.cert_levels, dtype=float)[:, None, None]
-    c = int(np.clip(tasks.n_check_paths - p_lo, 0, B))
-    f = int(np.clip(tasks.n_field_paths - p_lo, 0, B))
+    # ids ascend, so the checked and the field paths are the leading rows
+    c = int(np.count_nonzero(ids < tasks.n_check_paths))
+    f = int(np.count_nonzero(ids < tasks.n_field_paths))
     stride = tasks.field_stride
     snap_ks = list(range(0, N + 1, stride)) if (f and stride) else []
     S = len(snap_ks)
     s_arr = np.asarray(tasks.s_grid, dtype=float)
     m = s_arr.size
 
-    # mutable state; the regularized state of every alpha is one (A, B, d) array
-    w0 = np.zeros((B, d))
-    z = np.tile(model.x0, (A, B, 1)) if integrate else None
+    # mutable state, stored mode-major: the mode axis is last in every view
+    # but slowest in memory, so each mode's column is one contiguous row;
+    # the regularized state of every alpha is one (A, B, d) array
+    w0 = np.zeros((d, B)).T
+    z = np.tile(model.x0[:, None, None], (1, A, B)).transpose(1, 2, 0) \
+        if integrate else None
     runmax_w0 = np.zeros(B)
     runmax_w = np.zeros(B)
     zeta = np.zeros((2, A, B)) if girsanov else None    # martingale, quadratic
@@ -454,12 +477,12 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         quad += coef * coef * colsum(v * v) * dt
 
     # each path's generator with its rows of the noise buffer
-    paths = list(zip((path_rng(master_seed, i) for i in range(p_lo, p_hi)), noise))
+    paths = list(zip((path_rng(master_seed, i) for i in ids), noise))
     # an integrate pass resolves its roles in one call per step: the source
     # path w and the perturbed path X (with Girsanov) at t_k, and the
     # implicit step's y at t_{k+1}, stacked in that order along a role axis
     if integrate:
-        stack = np.empty((3, A, B, d))
+        stack = np.empty((d, 3, A, B)).transpose(1, 2, 3, 0)
         roles = stack if girsanov else stack[2:]
         t_roles = np.stack((times[:-1], times[:-1], times[1:]),
                            axis=1)[:, 3 - len(roles):, None, None]
@@ -489,10 +512,11 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                 r_zeta[j] = zeta
             if k == N:
                 break
-            # step k -> k+1
-            xi1 = noise[:, j, 0, :]
+            # step k -> k+1, on the step's noise as one mode-major slab
+            xi = noise[:, j].transpose(1, 2, 0).copy()
+            xi1 = xi[0].T
             dWk = sq * xi1
-            w0_next = decay * w0 + g1 * xi1 + g2 * noise[:, j, 1, :]
+            w0_next = decay * w0 + g1 * xi1 + g2 * xi[1].T
             if integrate:
                 zp = flow * z
                 np.add(zp, w0_next, out=stack[2])
@@ -520,7 +544,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             stopped[si][..., left] = zeta[..., left]
 
     return {
-        "final_w0": w0.copy(),
+        "final_w0": np.ascontiguousarray(w0),
         "w0_max": runmax_w0, "w_max": runmax_w,
         "zeta_mart": zeta_mart, "zeta_quad": zeta_quad,
         "rt_mart": rt_mart, "rt_quad": rt_quad,
@@ -535,7 +559,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         "sup_gaps": gaps,
         "field_x": fx, "field_w0": fw0, "field_runmax": frm,
         "p0_counts": p0c,
-        "z_final": z if integrate and A else None,
+        "z_final": np.ascontiguousarray(z) if integrate and A else None,
     }
 
 
@@ -543,21 +567,65 @@ def _block_star(args):
     return _run_block(*args)
 
 
-def _cat(parts, key, axis):
-    """Join one result array of every block along the path axis; a single
-    block's array is returned as is, not copied."""
-    vals = [p[key] for p in parts if p[key] is not None]
+def split_paths(n_paths: int, n_check: int, block_size: int) -> list:
+    """The ascending path ids of each block of the pass.
+
+    There are ``K = ceil(n_paths / block_size)`` blocks.  Block ``i`` holds
+    the checked ids ``[nc*i//K, nc*(i+1)//K)``, ``nc = min(n_check,
+    n_paths)``, followed by the next run of the other ids, so every block
+    holds an equal share of the checked paths (within one) and of all paths
+    (within one), and none holds more than ``block_size``.  The blocks with
+    one more checked path take the extra paths first, so no block holds
+    fewer paths than checked ones.  Read in block order, the checked ids
+    ascend, and so do the other ids.
+    """
+    K = -(-n_paths // block_size)
+    nc = min(n_check, n_paths)
+    checked = np.diff(nc * np.arange(K + 1) // K)
+    total = np.full(K, n_paths // K)
+    total[np.argsort(-checked, kind="stable")[:n_paths % K]] += 1
+    c_edge = np.concatenate(([0], np.cumsum(checked)))
+    r_edge = nc + np.concatenate(([0], np.cumsum(total - checked)))
+    return [np.concatenate((np.arange(c_edge[i], c_edge[i + 1]),
+                            np.arange(r_edge[i], r_edge[i + 1])))
+            for i in range(K)]
+
+
+def _path_order(blocks, limit):
+    """The permutation that puts the rows of the paths below ``limit``,
+    joined block after block, in path-id order; ``None`` where they already
+    ascend."""
+    ids = np.concatenate([b[b < limit] for b in blocks])
+    return None if np.all(ids[1:] > ids[:-1]) else np.argsort(ids)
+
+
+def _cat(vals, order, axis):
+    """Join one result array of every block along the path axis, in path-id
+    order (``order`` from :func:`_path_order`); blocks without the array give
+    ``None``.  A single block's array is returned as is, not copied."""
+    vals = [v for v in vals if v is not None]
     if not vals:
         return None
     if len(vals) == 1:
         return vals[0]
-    return np.concatenate(vals, axis=axis)
+    out = np.concatenate(vals, axis=axis)
+    return out if order is None else np.take(out, order, axis=axis)
 
 
 def run_ensemble(model: GalerkinModel, drift: Drift, grid: PathGrid,
                  tasks: EnsembleTasks, n_paths: int, master_seed: int,
                  block_size: int = BLOCK_SIZE, n_workers: int = 1) -> EnsembleResult:
     """Run the streaming pass over ``n_paths`` paths.
+
+    The paths are split into ``ceil(n_paths / block_size)`` blocks of at most
+    ``block_size`` paths each (:func:`split_paths`); ``block_size`` bounds a
+    block's state and chunk buffers, which grow linearly with it.  A checked
+    path (one of the first ``n_check_paths``) costs more than the others, as
+    the pathwise and weighted-moment checks run on it node by node, so every
+    block takes an equal share of the checked paths and an equal share of
+    the rest: the blocks then cost about the same, and ``n_workers`` worker
+    processes finish them together.  The joined results are in path-id
+    order.
 
     ``block_size`` and ``n_workers`` affect speed and memory only, never the
     numbers: per-path noise streams and per-path accumulators are independent
@@ -568,26 +636,25 @@ def run_ensemble(model: GalerkinModel, drift: Drift, grid: PathGrid,
 
         drift = ZeroDrift()
     tasks.validate(grid)
-    specs = [(model, drift, grid, tasks, master_seed, lo,
-              min(lo + block_size, n_paths))
-             for lo in range(0, n_paths, block_size)]
+    blocks = split_paths(n_paths, tasks.n_check_paths, block_size)
+    specs = [(model, drift, grid, tasks, master_seed, ids) for ids in blocks]
     if n_workers > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as ex:
             parts = list(ex.map(_block_star, specs))
     else:
         parts = [_run_block(*s) for s in specs]
 
-    bviol, bmarg, certs = {}, {}, {}
-    if parts[0]["bound_viol"]:
-        for name in parts[0]["bound_viol"]:
-            bviol[name] = np.concatenate([p["bound_viol"][name] for p in parts
-                                          if p["bound_viol"]], axis=1)
-            bmarg[name] = np.concatenate([p["bound_margin"][name] for p in parts
-                                          if p["bound_margin"]], axis=1)
-    if parts[0]["cert_viol"]:
-        for name in parts[0]["cert_viol"]:
-            certs[name] = np.concatenate([p["cert_viol"][name] for p in parts
-                                          if p["cert_viol"]], axis=2)
+    every, checked, fields = (_path_order(blocks, n) for n in (
+        n_paths, tasks.n_check_paths, tasks.n_field_paths))
+
+    def cat(key, axis, order=every):
+        return _cat([p[key] for p in parts], order, axis)
+
+    def cat_dict(key, axis):
+        names = next((p[key] for p in parts if p[key]), {})
+        return {n: _cat([p[key].get(n) for p in parts], checked, axis)
+                for n in names}
+
     wover = np.sum([p["weight_overflow"] for p in parts], axis=0)
     wover4 = np.sum([p["weight_overflow_derived"] for p in parts], axis=0)
     p0 = None
@@ -599,32 +666,36 @@ def run_ensemble(model: GalerkinModel, drift: Drift, grid: PathGrid,
 
     return EnsembleResult(
         n_paths=n_paths, alphas=tasks.alphas, grid=grid, tasks=tasks,
-        final_w0=_cat(parts, "final_w0", 0),
-        w0_max=_cat(parts, "w0_max", 0),
-        w_max=_cat(parts, "w_max", 0),
-        zeta_mart=_cat(parts, "zeta_mart", 1),
-        zeta_quad=_cat(parts, "zeta_quad", 1),
-        rt_mart=_cat(parts, "rt_mart", 1),
-        rt_quad=_cat(parts, "rt_quad", 1),
-        tau_half=_cat(parts, "tau_half", 1),
-        tau_full=_cat(parts, "tau_full", 1),
-        stopped_mart=_cat(parts, "stopped_mart", 2),
-        stopped_quad=_cat(parts, "stopped_quad", 2),
-        bound_viol=bviol, bound_margin=bmarg, cert_viol=certs,
-        weight_viol=_cat(parts, "weight_viol", 2),
-        weight_margin=_cat(parts, "weight_margin", 2),
+        final_w0=cat("final_w0", 0),
+        w0_max=cat("w0_max", 0),
+        w_max=cat("w_max", 0),
+        zeta_mart=cat("zeta_mart", 1),
+        zeta_quad=cat("zeta_quad", 1),
+        rt_mart=cat("rt_mart", 1),
+        rt_quad=cat("rt_quad", 1),
+        tau_half=cat("tau_half", 1),
+        tau_full=cat("tau_full", 1),
+        stopped_mart=cat("stopped_mart", 2),
+        stopped_quad=cat("stopped_quad", 2),
+        bound_viol=cat_dict("bound_viol", 1),
+        bound_margin=cat_dict("bound_margin", 1),
+        cert_viol=cat_dict("cert_viol", 2),
+        weight_viol=cat("weight_viol", 2, checked),
+        weight_margin=cat("weight_margin", 2, checked),
         weight_overflow=wover,
-        weight_node=_cat(parts, "weight_node", 2),
-        weight_lhs=_cat(parts, "weight_lhs", 2),
-        weight_rhs=_cat(parts, "weight_rhs", 2),
-        weight_viol_derived=_cat(parts, "weight_viol_derived", 2),
-        weight_margin_derived=_cat(parts, "weight_margin_derived", 2),
+        weight_node=cat("weight_node", 2, checked),
+        weight_lhs=cat("weight_lhs", 2, checked),
+        weight_rhs=cat("weight_rhs", 2, checked),
+        weight_viol_derived=cat("weight_viol_derived", 2, checked),
+        weight_margin_derived=cat("weight_margin_derived", 2, checked),
         weight_overflow_derived=wover4,
-        sup_gaps=_cat(parts, "sup_gaps", 1),
-        field_x=_cat(parts, "field_x", 1),
-        field_w0=_cat(parts, "field_w0", 0),
-        field_runmax=_cat(parts, "field_runmax", 0),
+        sup_gaps=cat("sup_gaps", 1),
+        field_x=cat("field_x", 1, fields),
+        field_w0=cat("field_w0", 0, fields),
+        field_runmax=cat("field_runmax", 0, fields),
         snap_times=snap_times,
         p0_counts=p0,
-        z_final=_cat(parts, "z_final", 1),
+        z_final=cat("z_final", 1),
+        blocks=tuple((len(ids), int(np.count_nonzero(ids < tasks.n_check_paths)))
+                     for ids in blocks),
     )

@@ -506,14 +506,20 @@ def write_manifest(state: RunState, status: str, wall: float) -> Path:
         "files": [{"name": p.name, "sha256": sha256_file(p),
                    "bytes": p.stat().st_size} for p in sorted(set(state.files))],
     }
+    if state.result is not None:
+        manifest["blocks"] = {"n_workers": state.n_workers,
+                              "paths": [b[0] for b in state.result.blocks],
+                              "checked": [b[1] for b in state.result.blocks]}
     return write_json(state.out / "manifest.json", manifest)
 
 
 def report_from_manifest(out_dir, quiet: bool = False) -> int:
     """Summarize an existing artifact directory from its manifest.
 
-    Exit 0 when every recorded check passed, 1 on failures or missing files,
-    2 when the manifest itself is absent or unreadable.
+    Writes nothing, so the inventory it verifies stays as recorded.  Exit 0
+    when every recorded check passed and every listed file has its recorded
+    digest, 1 on failures or on a missing or changed file, 2 when the
+    manifest itself is absent or unreadable.
     """
     import json
 
@@ -527,8 +533,13 @@ def report_from_manifest(out_dir, quiet: bool = False) -> int:
     except json.JSONDecodeError:
         print(f"manifest at {mpath} is not valid JSON")
         return 2
-    missing = [f["name"] for f in manifest.get("files", [])
-               if not (out / f["name"]).exists()]
+    missing, changed = [], []
+    for f in manifest.get("files", []):
+        path = out / f["name"]
+        if not path.exists():
+            missing.append(f["name"])
+        elif sha256_file(path) != f.get("sha256"):
+            changed.append(f["name"])
     lines = [f"ouperturb {manifest.get('version', '?')} artifact report",
              f"status: {manifest.get('status')}  "
              f"stages: {', '.join(manifest.get('stages', []))}", ""]
@@ -538,18 +549,23 @@ def report_from_manifest(out_dir, quiet: bool = False) -> int:
         n_fail += 0 if ok else 1
         lines.append(f"{c['id']:46s} {'PASS' if ok else 'FAIL':6s} "
                      f"{c.get('margin', 0):12.4g}  {c.get('detail', '')}")
-    if missing:
-        n_fail += len(missing)
-        lines.append("missing files: " + ", ".join(missing))
+    for label, names in (("missing files", missing),
+                         ("files not matching their sha256", changed)):
+        if names:
+            n_fail += len(names)
+            lines.append(f"{label}: " + ", ".join(names))
     lines.append("")
     lines.append(f"{len(manifest.get('checks', []))} checks, {n_fail} failures")
-    text = "\n".join(lines) + "\n"
-    (out / "summary.txt").write_text(text)
     if not quiet:
-        print(text)
+        print("\n".join(lines) + "\n")
         secs = manifest.get("stage_seconds", {})
         if secs:
             print("seconds: " + ", ".join(f"{k} {v:.3f}" for k, v in secs.items()))
+        blocks = manifest.get("blocks")
+        if blocks:
+            print(f"blocks: {len(blocks['paths'])} on {blocks['n_workers']} "
+                  f"workers, paths {'/'.join(map(str, blocks['paths']))}, "
+                  f"checked {'/'.join(map(str, blocks['checked']))}")
     incomplete = manifest.get("status") == "failed"
     return 0 if (n_fail == 0 and not incomplete) else 1
 

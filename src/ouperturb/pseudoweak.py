@@ -59,6 +59,8 @@ class BallCompression:
 class TestMeasureGrid:
     """Product quadrature grid with test sets and a capped functional family."""
 
+    __test__ = False     # not a pytest test class, despite its name
+
     times: np.ndarray
     weights: np.ndarray              # trapezoid weights, sum = horizon
     n_paths: int

@@ -114,23 +114,52 @@ def test_engine_sup_gaps_match_stored(model4, grid, pair):
     assert gap == pytest.approx(res.sup_gaps[0, 2], rel=1e-12)
 
 
+def test_split_paths_equal_shares():
+    for n, nc, bs in ((12, 6, 5), (12, 6, 4), (12, 6, 3), (10, 3, 5), (7, 9, 2),
+                      (4096, 1000, 1024), (8192, 0, 1024), (200, 1000, 1024),
+                      (1400, 1000, 1024), (1, 1, 1), (5, 0, 7)):
+        blocks = engine.split_paths(n, nc, bs)
+        assert len(blocks) == -(-n // bs)
+        joined = np.concatenate(blocks)
+        assert np.array_equal(np.sort(joined), np.arange(n))   # disjoint, all
+        checked = []
+        for ids in blocks:
+            assert np.all(np.diff(ids) > 0) and 0 < len(ids) <= bs
+            checked.append(ids[ids < nc])
+        counts = [len(c) for c in checked]
+        assert max(counts) - min(counts) <= 1, (n, nc, bs)
+        # the checked ids ascend across the blocks, so their rows join in order
+        assert np.array_equal(np.concatenate(checked), np.arange(min(nc, n)))
+    # one block, or no checked paths and equal blocks, keep the plain split
+    assert np.array_equal(engine.split_paths(200, 1000, 1024)[0], np.arange(200))
+    for i, ids in enumerate(engine.split_paths(8192, 0, 1024)):
+        assert np.array_equal(ids, np.arange(1024 * i, 1024 * (i + 1)))
+
+
 def test_engine_blocking_and_worker_invariance(model4, grid):
     # the iterative drifts too: each Newton solve stops per element, so a
-    # path's numbers never depend on which paths or alphas share its block
+    # path's numbers never depend on which paths or alphas share its block.
+    # With 12 paths the checked shares and the field paths cross the block
+    # boundaries, and the joined rows are put back in path-id order
     for drift in (SAT, CUBIC, TMOD):
         base = run_ensemble(model4, drift, grid, TASKS, 12, 99)
-        small = run_ensemble(model4, drift, grid, TASKS, 12, 99, block_size=5)
-        multi = run_ensemble(model4, drift, grid, TASKS, 12, 99, block_size=4,
-                             n_workers=2)
-        for other in (small, multi):
-            assert np.array_equal(base.final_w0, other.final_w0)
-            assert np.array_equal(base.log_rho(), other.log_rho())
-            assert np.array_equal(base.log_rho_tilde(), other.log_rho_tilde())
-            assert np.array_equal(base.tau_half, other.tau_half)
-            assert np.array_equal(base.p0_counts, other.p0_counts)
-            assert np.array_equal(base.field_x, other.field_x)
-            for name in base.bound_viol:
-                assert np.array_equal(base.bound_viol[name], other.bound_viol[name])
+        ref = result_arrays(base)
+        assert "field_x" in ref and "weight_node" in ref and "bound_viol.z_half" in ref
+        for block_size, n_workers in ((5, 1), (5, 2), (4, 1), (4, 2), (3, 1)):
+            other = run_ensemble(model4, drift, grid, TASKS, 12, 99,
+                                 block_size=block_size, n_workers=n_workers)
+            assert_same_arrays(ref, result_arrays(other), block_size)
+            checked = [2, 2, 2] if block_size > 3 else [1, 2, 1, 2]
+            assert [b[1] for b in other.blocks] == checked
+
+        if drift is CUBIC:
+            # more field paths than checked ones: the field rows of the
+            # blocks interleave, and the join permutes them too
+            tasks = replace(TASKS, n_check_paths=2, n_field_paths=7)
+            assert_same_arrays(
+                result_arrays(run_ensemble(model4, drift, grid, tasks, 12, 99)),
+                result_arrays(run_ensemble(model4, drift, grid, tasks, 12, 99,
+                                           block_size=5)))
 
         # alpha = 0.03 alone reproduces row 1 of the (0.1, 0.03) run
         one = run_ensemble(model4, drift, grid, replace(TASKS, alphas=(0.03,)),
@@ -160,6 +189,13 @@ def result_arrays(res):
     return out
 
 
+def assert_same_arrays(ref, other, tag=None):
+    """Both ``result_arrays`` dicts hold the same arrays, bit for bit."""
+    assert other.keys() == ref.keys()
+    for name, a in ref.items():
+        assert np.array_equal(a, other[name]), (tag, name)
+
+
 def test_engine_chunk_length_invariance(model4, grid, monkeypatch):
     # diagnostics are evaluated per flushed chunk; the chunk boundaries must
     # not show in any result, including the first-hit times, the stopped
@@ -177,10 +213,8 @@ def test_engine_chunk_length_invariance(model4, grid, monkeypatch):
                  "stopped_quad", "cert_viol.half", "cert_viol.full_raw",
                  "p0_counts", "field_runmax", "w0_max", "tau_full"):
         assert name in base
-    for other in runs.values():
-        assert other.keys() == base.keys()
-        for name, a in base.items():
-            assert np.array_equal(a, other[name]), name
+    for chunk, other in runs.items():
+        assert_same_arrays(base, other, chunk)
 
 
 @dataclass(frozen=True)

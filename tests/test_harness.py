@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -247,6 +248,53 @@ def test_report_subcommand_and_exit_codes(zero_run, tmp_path):
         {"version": "x", "status": "ok", "stages": [],
          "checks": [{"id": "c", "pass": True, "margin": 1.0}], "files": []}))
     assert run_cli("report", "--out", str(good)).returncode == 0
+
+
+def test_report_keeps_and_verifies_the_inventory(zero_run, tmp_path):
+    out, _ = zero_run
+    art = tmp_path / "art"
+    shutil.copytree(out, art)
+    before = {p.name: p.read_bytes() for p in art.iterdir()}
+    r = run_cli("report", "--out", str(art))
+    assert r.returncode == 1 and "artifact report" in r.stdout
+    assert "sha256" not in r.stdout and "missing" not in r.stdout
+    # the report writes nothing, so every recorded digest still verifies
+    assert {p.name: p.read_bytes() for p in art.iterdir()} == before
+    manifest = json.loads((art / "manifest.json").read_text())
+    for f in manifest["files"]:
+        assert sha256_file(art / f["name"]) == f["sha256"], f["name"]
+    # one changed byte in a CSV fails the report and names the file; so does
+    # a changed digest in an otherwise passing manifest
+    data = bytearray((art / "gaps.csv").read_bytes())
+    data[-2] = ord("0") if data[-2] != ord("0") else ord("1")
+    (art / "gaps.csv").write_bytes(bytes(data))
+    r = run_cli("report", "--out", str(art))
+    assert r.returncode == 1
+    assert "files not matching their sha256: gaps.csv" in r.stdout
+    good = tmp_path / "good"
+    good.mkdir()
+    (good / "a.csv").write_text("x\n1\n")
+    entry = {"name": "a.csv", "sha256": sha256_file(good / "a.csv"), "bytes": 4}
+    for digest, code in ((entry["sha256"], 0), ("0" * 64, 1)):
+        (good / "manifest.json").write_text(json.dumps(
+            {"version": "x", "status": "ok", "stages": [], "checks": [],
+             "files": [dict(entry, sha256=digest)]}))
+        assert run_cli("report", "--out", str(good)).returncode == code
+
+
+def test_manifest_records_blocks(zero_run):
+    out, _ = zero_run
+    manifest = json.loads((out / "manifest.json").read_text())
+    cfg = load_config(ZERO)
+    blocks = manifest["blocks"]
+    assert sum(blocks["paths"]) == cfg.n_paths
+    assert sum(blocks["checked"]) == min(harness.N_CHECK_PATHS, cfg.n_paths)
+    assert blocks["n_workers"] >= 1
+    r = run_cli("report", "--out", str(out))
+    line = [x for x in r.stdout.splitlines() if x.startswith("blocks: ")]
+    assert line == [f"blocks: {len(blocks['paths'])} on {blocks['n_workers']} "
+                    f"workers, paths {'/'.join(map(str, blocks['paths']))}, "
+                    f"checked {'/'.join(map(str, blocks['checked']))}"]
 
 
 def test_simulate_subcommand_standalone(tmp_path):
