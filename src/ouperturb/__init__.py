@@ -10,9 +10,9 @@ __version__ = "0.1.0"
 
 from .drifts import (L1SubgradientDrift, Modulation, RadialDrift, RadialGrowth,
                      SaturatingDrift, TimeModulatedDrift, ZeroDrift,
-                     check_dissipative, make_drift, resolvent_residual)
+                     make_drift, resolvent_residual)
 from .model import (GalerkinModel, ModelValidationError, semigroup_apply,
-                    validate_model, yosida_eigenvalues, yosida_linear)
+                    validate_model)
 from .ou import (PathGrid, SamplePath, fernique_probe, largest_stable_gamma,
                  ou_moments, sample_ou_paths)
 from .weights import WeightFunction, estimate_constant, make_weight

@@ -50,15 +50,10 @@ def main(argv=None) -> int:
     if args.command == "report":
         return report_from_manifest(args.out, quiet=args.quiet)
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.master_seed = int(args.seed)
-        if args.paths is not None:
-            cfg.n_paths = int(args.paths)
-        if args.out is not None:
-            from pathlib import Path
-
-            cfg.out_dir = Path(args.out)
+        overrides = {"mc.master_seed": args.seed, "mc.n_paths": args.paths,
+                     "output.directory": args.out}
+        cfg = load_config(args.config,
+                          {k: v for k, v in overrides.items() if v is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

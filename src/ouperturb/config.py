@@ -3,8 +3,9 @@
 Key schema (normative): ``model`` (dim, beta, eigenvalues | "auto",
 sigma_diag, horizon, x0), ``grid`` (n_steps | dt), ``drift`` (kind + params
 + optional bound echo), ``sweep`` (alpha_list), ``mc`` (n_paths,
-master_seed), ``phi`` (kinds list, B), ``girsanov`` (tau_levels, y_grid,
-psi kind + delta), ``output`` (directory).
+master_seed), ``phi`` (kinds list; ``B`` is accepted but not read),
+``girsanov`` (tau_levels, y_grid, psi kind + delta; the kind must be
+``closed_form``), ``output`` (directory).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class ExperimentConfig:
     weights: tuple
     tau_levels: tuple
     y_grid: np.ndarray
-    psi_kind: str
     psi_delta: float
     out_dir: Path
     s_grid: np.ndarray
@@ -150,9 +150,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"girsanov.y_grid: start {y_grid[0]:g} must exceed the "
             f"admissible threshold {y_min:g}")
     psi = gk.get("psi", {"kind": "closed_form", "delta": 0.5})
-    psi_kind = psi.get("kind", "closed_form")
-    _require(psi_kind in ("closed_form", "bump", "mollified"), errors,
-             f"girsanov.psi.kind: unknown {psi_kind!r}")
+    _require(psi.get("kind", "closed_form") == "closed_form", errors,
+             "girsanov.psi.kind: only 'closed_form' is supported")
     psi_delta = float(psi.get("delta", 0.5))
 
     out_dir = Path(raw.get("output", {}).get("directory", "out"))
@@ -168,11 +167,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
                             alphas=alphas, n_paths=n_paths,
                             master_seed=master_seed, weights=tuple(weights),
                             tau_levels=tau_levels, y_grid=y_grid,
-                            psi_kind=psi_kind, psi_delta=psi_delta,
+                            psi_delta=psi_delta,
                             out_dir=out_dir, s_grid=s_grid)
 
 
-def load_config(path) -> ExperimentConfig:
+def load_config(path, overrides=None) -> ExperimentConfig:
+    """Read and check the config at ``path``, after ``overrides`` (``"section.key"``
+    names to values) replace the file's values, so the check sees the run's."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -180,4 +181,7 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    for name, value in (overrides or {}).items():
+        section, key = name.split(".")
+        raw.setdefault(section, {})[key] = value
     return parse_config(raw)

@@ -477,10 +477,6 @@ class TimeModulatedDrift(Drift):
         factor, s = self.base.scale(alpha * self._m(t, x), x, state)
         return (factor - 1.0) / alpha, x, s
 
-    def yosida(self, t, alpha, x):
-        x = np.asarray(x, dtype=float)
-        return (self.resolvent(t, alpha, x) - x) / alpha
-
     def bound(self, r):
         return self.base.bound(r)
 
@@ -529,39 +525,3 @@ def resolvent_residual(drift: Drift, t, alpha, x) -> np.ndarray:
     if alpha_col.ndim:
         alpha_col = alpha_col[..., None]
     return norm(j - alpha_col * drift.minimal_section(t, j) - x)
-
-
-@dataclass
-class DissipativityReport:
-    max_monotone_gap: float
-    lipschitz_ratio: dict
-    n_pairs: int
-    passed: bool
-
-
-def check_dissipative(drift: Drift, seed: int, n_pairs: int, *, dim: int,
-                      t_max: float = 1.0, scale: float = 3.0,
-                      alphas=(1e-1, 1e-2, 1e-3)) -> DissipativityReport:
-    """Sample pairs and report the worst monotonicity gap and Lipschitz ratios.
-
-    The monotone gap ``<F0(t,x1)-F0(t,x2), x1-x2>`` must stay nonpositive and
-    the regularized map must have difference quotients at most ``2/alpha``.
-    A positive gap is reported in the result, not raised.
-    """
-    rng = np.random.default_rng(seed)
-    t = rng.uniform(0.0, t_max, size=n_pairs)
-    x1 = scale * rng.standard_normal((n_pairs, dim))
-    x2 = scale * rng.standard_normal((n_pairs, dim))
-    gap = colsum((drift.minimal_section(t, x1) - drift.minimal_section(t, x2))
-                 * (x1 - x2))
-    max_gap = float(np.max(gap)) if n_pairs else 0.0
-    ratios = {}
-    denom = norm(x1 - x2)
-    ok = denom > 1e-12
-    for alpha in alphas:
-        diff = norm(drift.yosida(t, alpha, x1) - drift.yosida(t, alpha, x2))
-        ratio = np.divide(diff, denom, out=np.zeros_like(diff), where=ok)
-        ratios[alpha] = float(np.max(ratio)) if n_pairs else 0.0
-    tol = 1e-9
-    passed = max_gap <= tol and all(v <= 2.0 / a * (1 + 1e-9) for a, v in ratios.items())
-    return DissipativityReport(max_gap, ratios, n_pairs, passed)

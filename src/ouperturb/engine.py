@@ -6,12 +6,9 @@ happens in fixed step order from a per-path generator stream, so results are
 bit-identical for any block size and any worker count.
 
 Blocks.  :func:`split_paths` gives each block an equal share of the checked
-paths -- the first ``n_check_paths``, on which the pathwise and weighted
-moment checks run node by node -- and an equal share of the others, so the
-blocks cost about the same whatever a checked path costs, and the workers
-finish together.  A block's ids ascend, so its checked and field paths are
-its leading rows; :func:`run_ensemble` joins the blocks' arrays in path-id
-order.
+paths and of the others.  A block's ids ascend, so its checked and field
+paths are its leading rows; :func:`run_ensemble` joins each block result in
+path-id order by its rule in ``_JOIN``.
 
 Mode-major state.  The path state is stored with the mode axis slowest in
 memory: ``w0`` is a ``(B, d)`` view of a ``(d, B)`` array, and likewise the
@@ -69,10 +66,12 @@ with it.
 
 One pass can compute, per regularization parameter: change-of-measure
 exponents along both the unperturbed and the perturbed paths, threshold
-stopping times (both transient-envelope variants), node-wise transient and
-weighted-moment bound checks with margins, level certificates, adjacent-alpha
-sup gaps, strided field snapshots for the weak-limit diagnostics, and
-exceedance counts for the centered-path tail.
+stopping times under both transient envelopes (the exponents stop at the
+half-form time), node-wise transient and weighted-moment bound checks with
+margins, level certificates, adjacent-alpha sup gaps, strided field
+snapshots for the weak-limit diagnostics, and exceedance counts for the
+centered-path tail.  The regularized step flows with the model's own
+generator, and every envelope decays at the model's ``beta``.
 """
 
 from __future__ import annotations
@@ -82,10 +81,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drifts import Drift, colsum, norm
+from .drifts import Drift, ZeroDrift, colsum, norm
 from .girsanov import DensityEnsemble
-from .model import GalerkinModel, regularized_beta, yosida_eigenvalues
+from .model import GalerkinModel
 from .ou import PathGrid, path_rng, step_constants
+from .weights import SLACK_MULT
 
 BLOCK_SIZE = 1024
 CHUNK_STEPS = 32     # nodes per noise draw and per diagnostics flush
@@ -93,22 +93,24 @@ CHUNK_STEPS = 32     # nodes per noise draw and per diagnostics flush
 
 @dataclass(frozen=True)
 class EnsembleTasks:
-    """What the streaming pass should compute."""
+    """What the streaming pass should compute.
+
+    Each of ``tau_levels`` gets both stopping times: ``tau_half`` under the
+    stated half-coefficient envelope, ``tau_full`` under the derived full
+    one.  The exponents of ``stop_zeta_levels`` stop at ``tau_half``.
+    """
 
     alphas: tuple = ()
     integrate: bool = False
-    lambda_y: float | None = None
     girsanov: bool = False
     tau_levels: tuple = ()
     stop_zeta_levels: tuple = ()
-    z_star_form: str = "half"
     n_check_paths: int = 0
     weights: tuple = ()
     cert_levels: tuple = ()
     n_field_paths: int = 0
     field_stride: int = 0
     s_grid: tuple = ()
-    slack_mult: float = 10.0
     track_gaps: bool = False
 
     def validate(self, grid: PathGrid):
@@ -126,14 +128,10 @@ class EnsembleTasks:
         if (self.n_check_paths or self.n_field_paths or self.track_gaps) \
                 and not self.integrate:
             raise ValueError("bound checks, fields and gaps need integrate=True")
-        if self.z_star_form not in ("half", "full"):
-            raise ValueError("z_star_form must be 'half' or 'full'")
-        for lvl in self.cert_levels:
+        for lvl in (*self.cert_levels, *self.stop_zeta_levels):
             if lvl not in self.tau_levels:
-                raise ValueError("certificate levels must be tracked tau levels")
-        for lvl in self.stop_zeta_levels:
-            if lvl not in self.tau_levels:
-                raise ValueError("stop-zeta levels must be tracked tau levels")
+                raise ValueError("certificate and stop-zeta levels must be "
+                                 "tracked tau levels")
 
 
 @dataclass(eq=False)
@@ -169,14 +167,15 @@ class EnsembleResult:
     field_x: np.ndarray | None = None
     field_w0: np.ndarray | None = None
     field_runmax: np.ndarray | None = None
-    snap_times: np.ndarray | None = None
     p0_counts: np.ndarray | None = None
     z_final: np.ndarray | None = None
     blocks: tuple = ()      # (paths, checked paths) of each block, in order
 
     @property
-    def tau(self) -> np.ndarray | None:
-        return self.tau_half if self.tasks.z_star_form == "half" else self.tau_full
+    def snap_times(self) -> np.ndarray | None:
+        """The times of the field snapshots."""
+        stride = self.tasks.field_stride if self.tasks.n_field_paths else 0
+        return self.grid.times[::stride] if stride else None
 
     def log_rho(self) -> np.ndarray:
         return self.zeta_mart - 0.5 * self.zeta_quad
@@ -199,7 +198,7 @@ class EnsembleResult:
             master_seed=master_seed, log_rho=self.log_rho(),
             log_rho_tilde=(self.log_rho_tilde()
                            if self.rt_mart is not None else None),
-            tau_levels=self.tasks.tau_levels, tau=self.tau,
+            tau_levels=self.tasks.tau_levels, tau=self.tau_half,
             stopped_log_rho=(self.stopped_log_rho()
                              if self.stopped_mart is not None else None),
             stop_levels=self.tasks.stop_zeta_levels,
@@ -254,7 +253,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     times = grid.times
     decay, g1, g2 = step_constants(model, dt)
     sq = np.sqrt(dt)
-    beta = regularized_beta(model, tasks.lambda_y)
+    beta = model.beta
     e_bdt = np.exp(-beta * dt)
     alphas = tasks.alphas
     A = len(alphas)
@@ -262,15 +261,12 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     integrate = tasks.integrate
     girsanov = tasks.girsanov
     sig = model.sigma_diag
-    if integrate:
-        eig = model.eigenvalues if tasks.lambda_y is None else \
-            yosida_eigenvalues(model, tasks.lambda_y)
-        flow = np.exp(eig * dt)
+    flow = np.exp(model.eigenvalues * dt)
     mean_path = np.exp(np.outer(times, model.eigenvalues)) * model.x0
     mean_norm = norm(mean_path)
     xn = float(np.linalg.norm(model.x0))
     ebt = np.exp(-beta * times)
-    slack = 1.0 + tasks.slack_mult * dt
+    slack = 1.0 + SLACK_MULT * dt
     weights = tasks.weights
     Wn = len(weights)
     with np.errstate(over="ignore"):
@@ -287,8 +283,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     c = int(np.count_nonzero(ids < tasks.n_check_paths))
     f = int(np.count_nonzero(ids < tasks.n_field_paths))
     stride = tasks.field_stride
-    snap_ks = list(range(0, N + 1, stride)) if (f and stride) else []
-    S = len(snap_ks)
+    S = len(range(0, N + 1, stride)) if (f and stride) else 0
     s_arr = np.asarray(tasks.s_grid, dtype=float)
     m = s_arr.size
 
@@ -373,12 +368,11 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         zs_h = (xn * ebt[s:s + n])[:, None] + 0.5 * I1
         zs_f = zs_h + 0.5 * I1
         base = mean_norm[s:s + n, None] + nw
-        new_h, row_h = _first_hits((zs_h + base)[:, None] >= lvl_col, hit_h, tau_h, t)
-        new_f, row_f = _first_hits((zs_f + base)[:, None] >= lvl_col, hit_f, tau_f, t)
+        new, row = _first_hits((zs_h + base)[:, None] >= lvl_col, hit_h, tau_h, t)
+        _first_hits((zs_f + base)[:, None] >= lvl_col, hit_f, tau_f, t)
         if stopped is None:
             return
-        # freeze the exponents of the new hits at their hitting node
-        new, row = (new_h, row_h) if tasks.z_star_form == "half" else (new_f, row_f)
+        # freeze the exponents of the new half-form hits at their hitting node
         for si, li in enumerate(stop_li):
             idx = np.flatnonzero(new[li])
             if idx.size:
@@ -538,9 +532,8 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         flush(s, n)
 
     if stopped is not None:
-        hit = hit_h if tasks.z_star_form == "half" else hit_f
         for si, li in enumerate(stop_li):
-            left = ~hit[li]
+            left = ~hit_h[li]
             stopped[si][..., left] = zeta[..., left]
 
     return {
@@ -555,16 +548,10 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         "weight_viol": wviol, "weight_margin": wmarg, "weight_overflow": wover,
         "weight_node": wnode, "weight_lhs": wlhs, "weight_rhs": wrhs,
         "weight_viol_derived": wviol4, "weight_margin_derived": wmarg4,
-        "weight_overflow_derived": wover4,
-        "sup_gaps": gaps,
+        "weight_overflow_derived": wover4, "sup_gaps": gaps, "p0_counts": p0c,
         "field_x": fx, "field_w0": fw0, "field_runmax": frm,
-        "p0_counts": p0c,
         "z_final": np.ascontiguousarray(z) if integrate and A else None,
     }
-
-
-def _block_star(args):
-    return _run_block(*args)
 
 
 def split_paths(n_paths: int, n_check: int, block_size: int) -> list:
@@ -589,6 +576,23 @@ def split_paths(n_paths: int, n_check: int, block_size: int) -> list:
     return [np.concatenate((np.arange(c_edge[i], c_edge[i + 1]),
                             np.arange(r_edge[i], r_edge[i + 1])))
             for i in range(K)]
+
+
+# how run_ensemble joins each per-path block result: along its path axis, in
+# the order of the paths it holds (every path, the checked or the field
+# paths), a dict result array by array; the counts in _SUMMED are summed
+_JOIN = {name: (axis, paths) for axis, paths, names in (
+    (0, "every", "final_w0 w0_max w_max"),
+    (1, "every", "zeta_mart zeta_quad rt_mart rt_quad tau_half tau_full "
+                 "sup_gaps z_final"),
+    (2, "every", "stopped_mart stopped_quad"),
+    (1, "checked", "bound_viol bound_margin"),
+    (2, "checked", "cert_viol weight_viol weight_margin weight_node weight_lhs "
+                   "weight_rhs weight_viol_derived weight_margin_derived"),
+    (0, "fields", "field_w0 field_runmax"),
+    (1, "fields", "field_x"),
+) for name in names.split()}
+_SUMMED = ("weight_overflow", "weight_overflow_derived", "p0_counts")
 
 
 def _path_order(blocks, limit):
@@ -631,71 +635,37 @@ def run_ensemble(model: GalerkinModel, drift: Drift, grid: PathGrid,
     numbers: per-path noise streams and per-path accumulators are independent
     of the blocking.  ``drift`` may be ``None`` for drift-free passes.
     """
-    if drift is None:
-        from .drifts import ZeroDrift
-
-        drift = ZeroDrift()
+    drift = ZeroDrift() if drift is None else drift
     tasks.validate(grid)
     blocks = split_paths(n_paths, tasks.n_check_paths, block_size)
     specs = [(model, drift, grid, tasks, master_seed, ids) for ids in blocks]
     if n_workers > 1 and len(specs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as ex:
-            parts = list(ex.map(_block_star, specs))
+            parts = list(ex.map(_run_block, *zip(*specs)))
     else:
         parts = [_run_block(*s) for s in specs]
 
-    every, checked, fields = (_path_order(blocks, n) for n in (
-        n_paths, tasks.n_check_paths, tasks.n_field_paths))
-
-    def cat(key, axis, order=every):
-        return _cat([p[key] for p in parts], order, axis)
-
-    def cat_dict(key, axis):
-        names = next((p[key] for p in parts if p[key]), {})
-        return {n: _cat([p[key].get(n) for p in parts], checked, axis)
-                for n in names}
-
-    wover = np.sum([p["weight_overflow"] for p in parts], axis=0)
-    wover4 = np.sum([p["weight_overflow_derived"] for p in parts], axis=0)
-    p0 = None
-    if parts[0]["p0_counts"] is not None:
-        p0 = np.sum([p["p0_counts"] for p in parts], axis=0)
-    snap_times = None
-    if tasks.field_stride and tasks.n_field_paths:
-        snap_times = grid.times[::tasks.field_stride]
+    orders = {paths: _path_order(blocks, n) for paths, n in (
+        ("every", n_paths), ("checked", tasks.n_check_paths),
+        ("fields", tasks.n_field_paths))}
+    joined = {}
+    for key in parts[0]:
+        vals = [p[key] for p in parts]
+        if key in _SUMMED:
+            joined[key] = None if vals[0] is None else np.sum(vals, axis=0)
+            continue
+        if key not in _JOIN:
+            raise ValueError(f"block result {key!r} has no join rule")
+        axis, paths = _JOIN[key]
+        if isinstance(vals[0], dict):    # empty in a block without checked paths
+            names = next((v for v in vals if v), {})
+            joined[key] = {n: _cat([v.get(n) for v in vals], orders[paths], axis)
+                           for n in names}
+        else:
+            joined[key] = _cat(vals, orders[paths], axis)
 
     return EnsembleResult(
-        n_paths=n_paths, alphas=tasks.alphas, grid=grid, tasks=tasks,
-        final_w0=cat("final_w0", 0),
-        w0_max=cat("w0_max", 0),
-        w_max=cat("w_max", 0),
-        zeta_mart=cat("zeta_mart", 1),
-        zeta_quad=cat("zeta_quad", 1),
-        rt_mart=cat("rt_mart", 1),
-        rt_quad=cat("rt_quad", 1),
-        tau_half=cat("tau_half", 1),
-        tau_full=cat("tau_full", 1),
-        stopped_mart=cat("stopped_mart", 2),
-        stopped_quad=cat("stopped_quad", 2),
-        bound_viol=cat_dict("bound_viol", 1),
-        bound_margin=cat_dict("bound_margin", 1),
-        cert_viol=cat_dict("cert_viol", 2),
-        weight_viol=cat("weight_viol", 2, checked),
-        weight_margin=cat("weight_margin", 2, checked),
-        weight_overflow=wover,
-        weight_node=cat("weight_node", 2, checked),
-        weight_lhs=cat("weight_lhs", 2, checked),
-        weight_rhs=cat("weight_rhs", 2, checked),
-        weight_viol_derived=cat("weight_viol_derived", 2, checked),
-        weight_margin_derived=cat("weight_margin_derived", 2, checked),
-        weight_overflow_derived=wover4,
-        sup_gaps=cat("sup_gaps", 1),
-        field_x=cat("field_x", 1, fields),
-        field_w0=cat("field_w0", 0, fields),
-        field_runmax=cat("field_runmax", 0, fields),
-        snap_times=snap_times,
-        p0_counts=p0,
-        z_final=cat("z_final", 1),
+        n_paths=n_paths, alphas=tasks.alphas, grid=grid, tasks=tasks, **joined,
         blocks=tuple((len(ids), int(np.count_nonzero(ids < tasks.n_check_paths)))
                      for ids in blocks),
     )

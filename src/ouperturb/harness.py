@@ -206,7 +206,7 @@ def stage_sweep(state: RunState):
     bv = np.full((A, P), "", dtype=object)
     bv[:, :nc] = (res.bound_viol["z_full"] + res.bound_viol["x_full"]
                   + res.bound_viol["gronwall_sq"]).astype(np.int64)
-    tau = np.asarray(res.tau, dtype=float)
+    tau = np.asarray(res.tau_half, dtype=float)
     state.emit("sweep.csv",
                ["alpha", "path_id", "sup_gap_to_next_alpha", "bound_violations"]
                + [f"tau_{l}" for l in cfg.tau_levels],

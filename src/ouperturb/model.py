@@ -105,39 +105,3 @@ def semigroup_apply(model: GalerkinModel, t, v: np.ndarray) -> np.ndarray:
     if np.any(t < 0):
         raise ValueError("semigroup_apply requires t >= 0")
     return np.exp(t[..., None] * model.eigenvalues) * v
-
-
-def yosida_eigenvalues(model: GalerkinModel, lambda_y: float) -> np.ndarray:
-    """Eigenvalues of the bounded regularization of the generator.
-
-    Mode ``i`` maps to ``lambda * lam_i / (lambda - lam_i)``; these converge to
-    ``lam_i`` as ``lambda`` grows and stay below ``-lambda*beta/(lambda+beta)``.
-    """
-    if lambda_y < 1:
-        raise ValueError("regularization parameter must satisfy lambda >= 1")
-    lam = model.eigenvalues
-    return lambda_y * lam / (lambda_y - lam)
-
-
-def yosida_linear(model: GalerkinModel, lambda_y: float, x: np.ndarray) -> np.ndarray:
-    """Apply the bounded regularization of the generator to ``x``."""
-    return yosida_eigenvalues(model, lambda_y) * x
-
-
-def regularized_beta(model: GalerkinModel, lambda_y: float | None) -> float:
-    """Dissipativity constant of the regularized generator.
-
-    The quadratic form of the regularized generator is dominated by
-    ``-lambda*beta/(lambda+beta) |x|^2``; at ``lambda = None`` (no
-    regularization) the constant is ``beta`` itself.
-    """
-    if lambda_y is None:
-        return model.beta
-    return lambda_y * model.beta / (lambda_y + model.beta)
-
-
-def resolvent_linear(model: GalerkinModel, lambda_y: float, x: np.ndarray) -> np.ndarray:
-    """Resolvent of the generator at ``lambda``: mode ``i`` scaled by ``1/(lambda - lam_i)``."""
-    if lambda_y <= 0:
-        raise ValueError("resolvent parameter must be positive")
-    return x / (lambda_y - model.eigenvalues)

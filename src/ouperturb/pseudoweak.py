@@ -204,10 +204,3 @@ def limsup_check(fields, candidate, slack: float = 1e-9) -> LimsupReport:
     cn = np.linalg.norm(candidate, axis=-1)
     excess = cn - norms - slack
     return LimsupReport(int(np.sum(excess > 0)), float(np.max(excess)), cn.size)
-
-
-def separates(grid: TestMeasureGrid, field_a, field_b,
-              compression: BallCompression | None = None,
-              tol: float = 1e-12) -> bool:
-    """True when some functional in the family distinguishes the two fields."""
-    return weak_gap(field_a, field_b, grid, compression).max_gap > tol

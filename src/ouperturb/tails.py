@@ -143,19 +143,6 @@ class ClosedFormWeight(UIWeight):
             return np.exp(np.logaddexp(0.0, log_y) ** self.delta)
 
 
-@dataclass(frozen=True)
-class IdentityWeight(UIWeight):
-    """``Psi(y) = y``; not admissible as a certificate, used as a probe."""
-
-    name = "identity"
-
-    def value(self, y):
-        return np.asarray(y, dtype=float).copy()
-
-    def deriv(self, y):
-        return np.ones_like(np.asarray(y, dtype=float))
-
-
 def _smoothstep(u):
     u = np.clip(u, 0.0, 1.0)
     return u * u * (3.0 - 2.0 * u)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+SLACK_MULT = 10.0    # node-wise bounds allow their right side times 1 + SLACK_MULT*dt
+
 
 @dataclass(frozen=True)
 class WeightFunction:
@@ -219,7 +221,7 @@ class MomentBoundReport:
 
 def check_moment_bound_on_fields(fields, w0_fields, runmax_fields, snap_times,
                                  x_start, w: WeightFunction, beta: float,
-                                 bound_fn, dt: float, slack_mult: float = 10.0,
+                                 bound_fn, dt: float,
                                  k_scale: float = 2.0) -> MomentBoundReport:
     """Node-wise moment bound on strided field snapshots.
 
@@ -232,7 +234,7 @@ def check_moment_bound_on_fields(fields, w0_fields, runmax_fields, snap_times,
     gives ``-inf``, also a violation.  A right side that overflows alone
     holds.  Nodes with either side non-finite are counted as overflow.
     """
-    slack = 1.0 + slack_mult * dt
+    slack = 1.0 + SLACK_MULT * dt
     xn2 = float(np.sum(np.asarray(x_start, dtype=float) ** 2))
     n0 = np.linalg.norm(w0_fields, axis=-1)
     a_rm = np.asarray(bound_fn(runmax_fields), dtype=float)

@@ -27,6 +27,10 @@ path; the weighted moment bound is checked node by node along one solution.
 
 The weak-limit gap matrix is kept here in its plain loop form, one
 projection per (window, path subset, time mode).
+
+Also here, because the package does not need them: the bounded
+regularization of the linear generator (the doubly-regularized reference),
+the sampled dissipativity check of a drift, and the identity probe weight.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ouperturb.drifts import Drift
-from ouperturb.model import GalerkinModel, regularized_beta, yosida_eigenvalues
+from ouperturb.drifts import Drift, colsum, norm
+from ouperturb.model import GalerkinModel
 from ouperturb.ou import PathGrid, SamplePath, sample_ou_block
 from ouperturb.pseudoweak import BallCompression, GapMatrix, TestMeasureGrid
+from ouperturb.tails import UIWeight
 from ouperturb.weights import MomentBoundReport, WeightFunction
 
 # ---------------------------------------------------------------------------
@@ -83,6 +88,46 @@ def inject(grid: PathGrid, *, x0, w0, dW=None, eigenvalues=None,
         eigenvalues = np.full(d, -1.0)
     return SamplePath(grid, x0, w0, np.asarray(dW, dtype=float),
                       np.asarray(eigenvalues, dtype=float), seed_tag)
+
+
+# ---------------------------------------------------------------------------
+# the bounded regularization of the linear generator
+
+
+def yosida_eigenvalues(model: GalerkinModel, lambda_y: float) -> np.ndarray:
+    """Eigenvalues of the bounded regularization of the generator.
+
+    Mode ``i`` maps to ``lambda * lam_i / (lambda - lam_i)``; these converge to
+    ``lam_i`` as ``lambda`` grows and stay below ``-lambda*beta/(lambda+beta)``.
+    """
+    if lambda_y < 1:
+        raise ValueError("regularization parameter must satisfy lambda >= 1")
+    lam = model.eigenvalues
+    return lambda_y * lam / (lambda_y - lam)
+
+
+def yosida_linear(model: GalerkinModel, lambda_y: float, x: np.ndarray) -> np.ndarray:
+    """Apply the bounded regularization of the generator to ``x``."""
+    return yosida_eigenvalues(model, lambda_y) * x
+
+
+def regularized_beta(model: GalerkinModel, lambda_y: float | None) -> float:
+    """Dissipativity constant of the regularized generator.
+
+    The quadratic form of the regularized generator is dominated by
+    ``-lambda*beta/(lambda+beta) |x|^2``; at ``lambda = None`` (no
+    regularization) the constant is ``beta`` itself.
+    """
+    if lambda_y is None:
+        return model.beta
+    return lambda_y * model.beta / (lambda_y + model.beta)
+
+
+def resolvent_linear(model: GalerkinModel, lambda_y: float, x: np.ndarray) -> np.ndarray:
+    """Resolvent of the generator at ``lambda``: mode ``i`` scaled by ``1/(lambda - lam_i)``."""
+    if lambda_y <= 0:
+        raise ValueError("resolvent parameter must be positive")
+    return x / (lambda_y - model.eigenvalues)
 
 
 # ---------------------------------------------------------------------------
@@ -430,3 +475,56 @@ def weak_gap(field_a: np.ndarray, field_b: np.ndarray, grid: TestMeasureGrid,
                 rows.append(("all_t|all_p", f"{mname}*e{j}|clip{level:g}", gap))
                 worst = max(worst, gap)
     return GapMatrix(rows, worst)
+
+
+# ---------------------------------------------------------------------------
+# dissipativity of a drift, and the identity probe weight
+
+
+@dataclass
+class DissipativityReport:
+    max_monotone_gap: float
+    lipschitz_ratio: dict
+    n_pairs: int
+    passed: bool
+
+
+def check_dissipative(drift: Drift, seed: int, n_pairs: int, *, dim: int,
+                      t_max: float = 1.0, scale: float = 3.0,
+                      alphas=(1e-1, 1e-2, 1e-3)) -> DissipativityReport:
+    """Sample pairs and report the worst monotonicity gap and Lipschitz ratios.
+
+    The monotone gap ``<F0(t,x1)-F0(t,x2), x1-x2>`` must stay nonpositive and
+    the regularized map must have difference quotients at most ``2/alpha``.
+    A positive gap is reported in the result, not raised.
+    """
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, t_max, size=n_pairs)
+    x1 = scale * rng.standard_normal((n_pairs, dim))
+    x2 = scale * rng.standard_normal((n_pairs, dim))
+    gap = colsum((drift.minimal_section(t, x1) - drift.minimal_section(t, x2))
+                 * (x1 - x2))
+    max_gap = float(np.max(gap)) if n_pairs else 0.0
+    ratios = {}
+    denom = norm(x1 - x2)
+    ok = denom > 1e-12
+    for alpha in alphas:
+        diff = norm(drift.yosida(t, alpha, x1) - drift.yosida(t, alpha, x2))
+        ratio = np.divide(diff, denom, out=np.zeros_like(diff), where=ok)
+        ratios[alpha] = float(np.max(ratio)) if n_pairs else 0.0
+    tol = 1e-9
+    passed = max_gap <= tol and all(v <= 2.0 / a * (1 + 1e-9) for a, v in ratios.items())
+    return DissipativityReport(max_gap, ratios, n_pairs, passed)
+
+
+@dataclass(frozen=True)
+class IdentityWeight(UIWeight):
+    """``Psi(y) = y``; not admissible as a certificate, used as a probe."""
+
+    name = "identity"
+
+    def value(self, y):
+        return np.asarray(y, dtype=float).copy()
+
+    def deriv(self, y):
+        return np.ones_like(np.asarray(y, dtype=float))

@@ -30,15 +30,15 @@ from ouperturb import (GalerkinModel, PathGrid, estimate_constant,
 from ouperturb.drifts import resolvent_residual
 from ouperturb.engine import EnsembleTasks, run_ensemble
 from ouperturb.girsanov import entropy_stability, entropy_statistic
-from ouperturb.model import resolvent_linear, semigroup_apply, yosida_linear
+from ouperturb.model import semigroup_apply
 from ouperturb.pseudoweak import BallCompression, TestMeasureGrid, \
     cesaro_limit, weak_gap
-from ouperturb.tails import (ClosedFormWeight, IdentityWeight,
-                             build_bump_weight, check_weight_integral,
-                             tail_table)
+from ouperturb.tails import (ClosedFormWeight, build_bump_weight,
+                             check_weight_integral, tail_table)
 from ouperturb._util import sha256_file
 from ouperturb.weights import closed_form_constant
-from oracle import check_moment_bound, check_pathwise_bound, inject, integrate_Z
+from oracle import (IdentityWeight, check_moment_bound, check_pathwise_bound,
+                    inject, integrate_Z, resolvent_linear, yosida_linear)
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKERS = min(2, os.cpu_count() or 1)

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from ouperturb import check_dissipative, make_drift, resolvent_residual
-from ouperturb import drifts
+from ouperturb import drifts, make_drift, resolvent_residual
 from ouperturb.drifts import (DriftSolverError, Modulation, RadialDrift,
                               RadialGrowth, solve_radial_scale)
+from oracle import check_dissipative
 
 CUBIC = make_drift("radial", power=2.0)
 LIN = make_drift("radial", coef=1.0, power=0.0)   # F(x) = -x

@@ -83,18 +83,6 @@ def test_engine_source_sums_match_girsanov_only(model4, grid, drift):
     assert np.array_equal(full.zeta_quad, alone.zeta_quad)
 
 
-@pytest.mark.parametrize("lam", [2.0, 50.0])
-def test_engine_lambda_y_matches_stored_ops(model4, grid, lam):
-    tasks = EnsembleTasks(alphas=TASKS.alphas, integrate=True, girsanov=True,
-                          lambda_y=lam)
-    res = run_ensemble(model4, CUBIC, grid, tasks, 12, 99)
-    for pid in (0, 5, 11):
-        p = sample_ou_path(model4, grid, 99, path_index=pid)
-        for ai, a in enumerate(TASKS.alphas):
-            sol = integrate_Z(model4, CUBIC, a, p, lambda_y=lam)
-            assert np.allclose(sol.z[-1], res.z_final[ai, pid], atol=1e-13)
-
-
 def test_engine_fields_match_stored(model4, grid, pair):
     drift, res = pair
     p = sample_ou_path(model4, grid, 99, path_index=1)
@@ -112,6 +100,24 @@ def test_engine_sup_gaps_match_stored(model4, grid, pair):
     z2 = integrate_Z(model4, drift, 0.03, p).z
     gap = float(np.max(np.linalg.norm(z1 - z2, axis=1)))
     assert gap == pytest.approx(res.sup_gaps[0, 2], rel=1e-12)
+
+
+def test_join_rules_name_every_result_array():
+    # every array or dict of arrays in the result is joined by its table
+    # rule or summed, and never both
+    arrays = {f.name for f in fields(engine.EnsembleResult)
+              if "ndarray" in f.type or f.type == "dict"}
+    assert set(engine._JOIN) | set(engine._SUMMED) == arrays
+    assert not set(engine._JOIN) & set(engine._SUMMED)
+
+
+def test_join_rejects_unnamed_block_result(model4, monkeypatch):
+    run_block = engine._run_block
+    monkeypatch.setattr(engine, "_run_block",
+                        lambda *a: {**run_block(*a), "extra": np.zeros(2)})
+    with pytest.raises(ValueError, match="'extra' has no join rule"):
+        run_ensemble(model4, None, PathGrid(8, 1.0), EnsembleTasks(), 4, 1,
+                     block_size=2)
 
 
 def test_split_paths_equal_shares():

@@ -5,9 +5,9 @@ from ouperturb import (PathGrid, make_drift, martingale_check,
                        stopped_moment_bound)
 from ouperturb.engine import EnsembleTasks, run_ensemble
 from ouperturb.girsanov import entropy_statistic
-from ouperturb.tails import ClosedFormWeight, IdentityWeight
-from oracle import (inject, integrate_Z, log_rho_tilde, rho_tilde,
-                    sample_ou_path, zeta, zeta_parts)
+from ouperturb.tails import ClosedFormWeight
+from oracle import (IdentityWeight, inject, integrate_Z, log_rho_tilde,
+                    rho_tilde, sample_ou_path, zeta, zeta_parts)
 
 SAT = make_drift("saturating", eps=1.0)
 CUBIC = make_drift("radial", power=2.0)

@@ -95,6 +95,28 @@ def test_config_rejects_sigma_diag_length(tmp_path):
     assert cli.main(["all", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
+def test_config_rejects_unread_psi_kind(tmp_path, capsys):
+    # every stage uses the closed form, so another kind would be ignored
+    raw = json.loads(SMOKE.read_text())
+    for kind in ("bump", "mollified"):
+        raw["girsanov"]["psi"]["kind"] = kind
+        with pytest.raises(ConfigError, match="girsanov.psi.kind"):
+            parse_config(raw)
+    bad = tmp_path / "bump.json"
+    bad.write_text(json.dumps(raw))
+    assert cli.main(["all", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "config error: girsanov.psi.kind" in capsys.readouterr().err
+
+
+def test_cli_overrides_get_the_config_check(tmp_path, capsys):
+    for paths in ("0", "-5"):
+        code = cli.main(["all", "--config", str(SMOKE), "--paths", paths,
+                         "--out", str(tmp_path), "--quiet"])
+        assert code == 2
+        assert "config error: mc.n_paths" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_config_bound_echo_must_match():
     raw = json.loads(SMOKE.read_text())
     raw["drift"]["bound"] = "something else"
@@ -315,6 +337,9 @@ def test_seed_and_paths_overrides(tmp_path):
     run_cli("simulate", "--config", str(ZERO), "--out", str(out2),
             "--paths", "32", "--seed", "6", "--quiet")
     assert sha256_file(out1 / "moments.csv") != sha256_file(out2 / "moments.csv")
+    # the manifest echoes the config the run used
+    mc = json.loads((out1 / "manifest.json").read_text())["config"]["mc"]
+    assert (mc["master_seed"], mc["n_paths"]) == (5, 32)
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,9 @@ from ouperturb import (BallCompression, GalerkinModel, PathGrid, cesaro_limit,
                        limsup_check, make_drift, sample_ou_paths, validate_model)
 from ouperturb.config import parse_config
 from ouperturb.engine import EnsembleTasks, run_ensemble
-from ouperturb.model import regularized_beta
 from oracle import (check_pathwise_bound, exp_decay_quadrature, integrate_Z,
-                    sample_ou_path, stopping_time, threshold_series,
-                    zero_noise_path)
+                    regularized_beta, sample_ou_path, stopping_time,
+                    threshold_series, zero_noise_path)
 
 ZERO = make_drift("zero")
 CUBIC = make_drift("radial", power=2.0)
