@@ -19,7 +19,7 @@ import numpy as np
 from .drifts import Drift, make_drift
 from .model import GalerkinModel, validate_model
 from .ou import PathGrid
-from .tails import admissible_y_start
+from .tails import ClosedFormWeight, admissible_y_start
 from .weights import WeightFunction
 
 
@@ -84,14 +84,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
         errors.append(f"model: {exc}")
 
     gb = raw.get("grid", {})
+    n_steps = 0
     if "n_steps" in gb:
         n_steps = int(gb["n_steps"])
+        _require(n_steps >= 1, errors, "grid.n_steps: must be >= 1")
     elif "dt" in gb:
-        n_steps = int(round(horizon / float(gb["dt"])))
+        dt = float(gb["dt"])
+        if not 0 < dt < np.inf:
+            errors.append("grid.dt: must be finite and > 0")
+        elif horizon > 0:
+            n_steps = max(int(round(horizon / dt)), 1)
     else:
         errors.append("grid: need n_steps or dt")
-        n_steps = 1
-    grid = PathGrid(max(n_steps, 1), horizon)
+    # no grid from invalid inputs: the errors above are raised below
+    grid = PathGrid(n_steps, horizon) if n_steps >= 1 and horizon > 0 else None
 
     db = raw.get("drift", {"kind": "radial"})
     try:
@@ -112,7 +118,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(all(a > 0 for a in alphas), errors, "sweep.alpha_list: must be positive")
     _require(all(a1 > a2 for a1, a2 in zip(alphas, alphas[1:])), errors,
              "sweep.alpha_list: must be strictly decreasing")
-    if alphas and grid.dt > min(alphas) / 8.0 * (1 + 1e-12):
+    if grid is not None and alphas and grid.dt > min(alphas) / 8.0 * (1 + 1e-12):
         need = int(np.ceil(horizon / (min(alphas) / 8.0)))
         errors.append(
             f"grid: dt={grid.dt:g} violates dt <= min(alpha)/8 = "
@@ -153,6 +159,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _require(psi.get("kind", "closed_form") == "closed_form", errors,
              "girsanov.psi.kind: only 'closed_form' is supported")
     psi_delta = float(psi.get("delta", 0.5))
+    try:
+        ClosedFormWeight(psi_delta)
+    except ValueError as exc:
+        errors.append(f"girsanov.psi.delta: {exc}")
 
     out_dir = Path(raw.get("output", {}).get("directory", "out"))
 

@@ -7,8 +7,10 @@ Each drift exposes these maps, all vectorized over states of shape
 * ``resolvent(t, alpha, x)`` -- the single-valued inverse of ``I - alpha*F``;
 * ``yosida(t, alpha, x)``   -- ``(resolvent - identity) / alpha``, the
   globally Lipschitz regularization (constant at most ``2/alpha``);
-* ``resolvent_warm(t, alpha, x, state)`` -- the same regularization in the
-  factored form ``coef[..., None] * base`` that the step loop consumes;
+* ``resolvent_warm(t, alpha, x)`` -- the same regularization in the
+  factored form ``coef[..., None] * base`` that the step loop consumes, a
+  pure function of its arguments, under the name ``perfbench/tracer.py``
+  patches;
 * ``bound(r)``              -- the increasing radial envelope ``a`` with
   ``|minimal_section(t, x)| <= a(|x|)``.
 
@@ -26,10 +28,10 @@ For ``RadialDrift`` the norm equation is ``s + alpha_eff * g(s) * s = r``.
 For growth power 2, the cubic drift of every shipped config, it is a cubic
 in ``s`` and is solved in closed form (:func:`closed_radial_scale`), then
 polished by one Newton step.  The solve fails closed: an element whose
-polished residual misses ``|h| <= 1e-13 * r`` goes back to the Newton solve
-:func:`solve_radial_scale`, which raises :class:`DriftSolverError` naming
-the element if it cannot meet the contract either.  Other powers use the
-Newton solve throughout.
+polished residual misses ``|h| <= RESIDUAL_TOL * r`` goes back to the Newton
+solve :func:`solve_radial_scale`, which starts cold at ``s = r`` and raises
+:class:`DriftSolverError` naming the element if it cannot meet the contract
+either.  Other powers use the Newton solve throughout.
 """
 
 from __future__ import annotations
@@ -37,6 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+# every radial norm solve stops at |h| <= RESIDUAL_TOL * r, h its residual
+RESIDUAL_TOL = 1e-13
 
 
 class DriftSolverError(RuntimeError):
@@ -100,21 +105,20 @@ class RadialGrowth:
         return {"coef": self.coef, "power": self.power}
 
 
-def solve_radial_scale(growth: RadialGrowth, alpha_eff, r, s0=None, tol=1e-13,
-                       max_iter=80):
+def solve_radial_scale(growth: RadialGrowth, alpha_eff, r, max_iter=80):
     """Solve ``s + alpha_eff * g(s) * s = r`` for ``s >= 0``, elementwise.
 
-    ``alpha_eff`` broadcasts against ``r`` and the result has the broadcast
-    shape; ``s0`` supplies a warm start of that shape.  The left side is
-    increasing and convex in ``s``, so a Newton step from any point below the
-    root lands above it and the iteration then decreases monotonically:
-    convergence is guaranteed.
+    ``alpha_eff`` broadcasts against the norms ``r >= 0`` and the result has
+    the broadcast shape.  The iteration starts cold at ``s = r``, at or above
+    the root; the left side is increasing and convex in ``s``, so Newton
+    steps from there decrease monotonically to the root: convergence is
+    guaranteed.
 
     Each element stops on its own, at the first iterate whose residual
-    ``h = s + alpha_eff * g(s) * s - r`` satisfies ``|h| <= tol * r``.  The stop
-    is relative, so small norms are solved as accurately as large ones, and
-    per element, so each value depends only on its own ``(r, alpha_eff, s0)``,
-    never on the other elements of the call.
+    ``h = s + alpha_eff * g(s) * s - r`` satisfies ``|h| <= RESIDUAL_TOL * r``.
+    The stop is relative, so small norms are solved as accurately as large
+    ones, and per element, so each value depends only on its own
+    ``(r, alpha_eff)``, never on the other elements of the call.
     """
     shape = np.broadcast(r, alpha_eff).shape
 
@@ -124,14 +128,13 @@ def solve_radial_scale(growth: RadialGrowth, alpha_eff, r, s0=None, tol=1e-13,
         return out.ravel()
 
     ri, ai = flat(r), flat(alpha_eff)
-    s = flat(r if s0 is None else s0)
-    np.maximum(s, 0.0, out=s)
+    s = flat(r)
     live = np.arange(s.size)
     si = s
     for it in range(max_iter + 1):
         g = growth(si)
         h = si + ai * g * si - ri
-        keep = ~(np.abs(h) <= tol * ri)
+        keep = ~(np.abs(h) <= RESIDUAL_TOL * ri)
         if not keep.all():
             s[live[~keep]] = si[~keep]
             live, si, ri, ai, g, h = (v[keep] for v in (live, si, ri, ai, g, h))
@@ -180,31 +183,27 @@ def closed_radial_scale(growth: RadialGrowth, alpha_eff, r):
         return s, s + a * (s * s) * s - r
 
 
-def radial_scale(growth: RadialGrowth, alpha_eff, r, s0=None):
-    """Solve ``s + alpha_eff * g(s) * s = r`` with the contract ``|h| <= 1e-13 r``,
-    the stop of :func:`solve_radial_scale`.
+def radial_scale(growth: RadialGrowth, alpha_eff, r):
+    """Solve ``s + alpha_eff * g(s) * s = r`` with the contract
+    ``|h| <= RESIDUAL_TOL * r``, the stop of :func:`solve_radial_scale`.
 
     Power 2 takes the closed form (:func:`closed_radial_scale`) and fails
     closed: an element whose polished residual misses the contract -- NaN
-    included -- is solved again by :func:`solve_radial_scale` from its warm
-    start in ``s0``.  Other powers use that Newton solve throughout.  Each
-    value depends only on its own ``(r, alpha_eff, s0)``.
+    included -- is solved again by :func:`solve_radial_scale`.  Other powers
+    use that Newton solve throughout.  Each value depends only on its own
+    ``(r, alpha_eff)``.
     """
     if growth.power != 2:
-        return solve_radial_scale(growth, alpha_eff, r, s0=s0)
+        return solve_radial_scale(growth, alpha_eff, r)
     s, h = closed_radial_scale(growth, alpha_eff, r)
     with np.errstate(invalid="ignore"):
-        ok = np.abs(h) <= 1e-13 * r
+        ok = np.abs(h) <= RESIDUAL_TOL * r
     if ok.all():
         return s
     s = np.array(s, dtype=float)
     miss = np.flatnonzero(~ok)
-
-    def pick(v):
-        return None if v is None else np.broadcast_to(v, s.shape).reshape(-1)[miss]
-
-    s.reshape(-1)[miss] = solve_radial_scale(growth, pick(alpha_eff), pick(r),
-                                             s0=pick(s0))
+    s.reshape(-1)[miss] = solve_radial_scale(growth, *(
+        np.broadcast_to(v, s.shape).reshape(-1)[miss] for v in (alpha_eff, r)))
     return s
 
 
@@ -260,29 +259,26 @@ class Drift:
     def resolvent(self, t, alpha, x):
         raise NotImplementedError
 
-    def resolvent_warm(self, t, alpha, x, state=None):
+    def resolvent_warm(self, t, alpha, x):
         """Yosida regularization in factored form, for tight step loops.
 
-        Returns ``(coef, base, state)`` with
+        Returns ``(coef, base)`` with
         ``yosida(t, alpha, x) = coef[..., None] * base``, where ``coef`` has
         the leading shape of the broadcast of ``alpha`` (a column against the
         leading axes, as in :meth:`resolvent`) with ``x``.  ``t`` may be a
         scalar or an array broadcast against the leading axes as well, such
         as one time per row of a stack of states.  A step loop can then sum
         ``coef * colsum(base * other)`` and never build the regularization
-        itself.  ``state`` is an opaque warm start covering every row it was
-        given, returned for the next call on states of the same shape; the
-        resolvent behind ``coef`` satisfies the same residual contract as
-        :meth:`resolvent`.
+        itself.  The result depends on ``(t, alpha, x)`` alone, and the
+        resolvent behind ``coef`` is the one :meth:`resolvent` computes.
 
-        This default returns ``coef = 1`` and ``base = yosida``, and ignores
-        the state; :class:`RadialFamily` returns a scalar per state and
-        ``base = x``.
+        This default returns ``coef = 1`` and ``base = yosida``;
+        :class:`RadialFamily` returns a scalar per state and ``base = x``.
         """
         x = np.asarray(x, dtype=float)
         a = np.asarray(alpha, dtype=float)
         base = (self.resolvent(t, alpha, x) - x) / (a[..., None] if a.ndim else a)
-        return np.ones(base.shape[:-1]), base, None
+        return np.ones(base.shape[:-1]), base
 
     def yosida(self, t, alpha, x):
         return (self.resolvent(t, alpha, x) - x) / alpha
@@ -300,29 +296,27 @@ class Drift:
 class RadialFamily(Drift):
     """Drifts whose resolvent scales its argument, ``J = (s/r) x``.
 
-    Here ``r = |x|`` and ``s = norm_solve(alpha, r, state)`` solves the
-    drift's scalar norm equation.  The regularization is then
-    ``(s/r - 1)/alpha`` times ``x``, which :meth:`resolvent_warm` returns in
-    that factored form; its state is ``s``.
+    Here ``r = |x|`` and ``s = norm_solve(alpha, r)`` solves the drift's
+    scalar norm equation.  The regularization is then ``(s/r - 1)/alpha``
+    times ``x``, which :meth:`resolvent_warm` returns in that factored form.
     """
 
-    def norm_solve(self, alpha, r, state=None):
+    def norm_solve(self, alpha, r):
         raise NotImplementedError
 
-    def scale(self, alpha, x, state=None):
-        """``s/r`` (0 at ``r = 0``) and ``s``, of the leading shape."""
+    def scale(self, alpha, x):
+        """``s/r`` (0 at ``r = 0``), of the leading shape."""
         r = norm(x)
-        s = self.norm_solve(alpha, r, state)
-        return np.divide(s, r, out=np.zeros_like(s), where=r > 0), s
+        s = self.norm_solve(alpha, r)
+        return np.divide(s, r, out=np.zeros_like(s), where=r > 0)
 
     def resolvent(self, t, alpha, x):
         x = np.asarray(x, dtype=float)
-        return self.scale(alpha, x)[0][..., None] * x
+        return self.scale(alpha, x)[..., None] * x
 
-    def resolvent_warm(self, t, alpha, x, state=None):
+    def resolvent_warm(self, t, alpha, x):
         x = np.asarray(x, dtype=float)
-        factor, s = self.scale(alpha, x, state)
-        return (factor - 1.0) / alpha, x, s
+        return (self.scale(alpha, x) - 1.0) / alpha, x
 
 
 @dataclass(frozen=True)
@@ -355,8 +349,7 @@ class RadialDrift(RadialFamily):
     :func:`radial_scale`: in closed form with one Newton polish for power 2,
     with a per-element fallback to the Newton solve where the polished
     residual misses its contract, and by the Newton solve alone for other
-    powers.  The warm-start state of :meth:`resolvent_warm` is the
-    previous norm solution; it seeds only that Newton solve.
+    powers.
     """
 
     growth: RadialGrowth = field(default_factory=RadialGrowth)
@@ -366,8 +359,8 @@ class RadialDrift(RadialFamily):
         x = np.asarray(x, dtype=float)
         return -self.growth(norm(x))[..., None] * x
 
-    def norm_solve(self, alpha, r, state=None):
-        return radial_scale(self.growth, alpha, r, s0=state)
+    def norm_solve(self, alpha, r):
+        return radial_scale(self.growth, alpha, r)
 
     def bound(self, r):
         r = np.asarray(r, dtype=float)
@@ -412,8 +405,7 @@ class L1SubgradientDrift(Drift):
 class SaturatingDrift(RadialFamily):
     """Bounded drift ``F(x) = -x / (eps + |x|)`` with unit radial envelope.
 
-    The resolvent norm solves a quadratic, so no iteration is needed and the
-    warm-start state is not read.
+    The resolvent norm solves a quadratic, so no iteration is needed.
     """
 
     eps: float = 1.0
@@ -427,7 +419,7 @@ class SaturatingDrift(RadialFamily):
         x = np.asarray(x, dtype=float)
         return -x / (self.eps + norm(x))[..., None]
 
-    def norm_solve(self, alpha, r, state=None):
+    def norm_solve(self, alpha, r):
         # positive root of s^2 + s (eps + alpha - r) - r eps = 0, with alpha
         # broadcast against the norms
         b = r - self.eps - np.asarray(alpha, dtype=float)
@@ -470,12 +462,11 @@ class TimeModulatedDrift(Drift):
         x = np.asarray(x, dtype=float)
         return self.base.resolvent(t, alpha * self._m(t, x), x)
 
-    def resolvent_warm(self, t, alpha, x, state=None):
+    def resolvent_warm(self, t, alpha, x):
         if not isinstance(self.base, RadialFamily):
-            return super().resolvent_warm(t, alpha, x, state)
+            return super().resolvent_warm(t, alpha, x)
         x = np.asarray(x, dtype=float)
-        factor, s = self.base.scale(alpha * self._m(t, x), x, state)
-        return (factor - 1.0) / alpha, x, s
+        return (self.base.scale(alpha * self._m(t, x), x) - 1.0) / alpha, x
 
     def bound(self, r):
         return self.base.bound(r)

@@ -26,10 +26,11 @@ begins: the source path ``w`` and the perturbed path ``X`` at ``t_k``, and
 the implicit step's ``y = flow * z + w0_{k+1}`` at ``t_{k+1}``.  An
 integrate pass writes them into one preallocated ``(3, A, B, d)`` stack
 (``w`` broadcast over the alphas) and makes one ``resolvent_warm`` call per
-step, with a ``(3, 1, 1)`` time column, one time per role, alpha as an
-``(A, 1)`` column against the ``(3, A, B)`` norms, and one ``(3, A, B)``
-warm start; without Girsanov only the ``y`` row is resolved.  A
-Girsanov-only pass resolves ``w`` alone, as a ``(B, d)`` state.  The call
+step, with a ``(3, 1, 1)`` time column, one time per role, and alpha as
+an ``(A, 1)`` column against the ``(3, A, B)`` norms; without Girsanov only
+the ``y`` row is resolved.  A Girsanov-only pass resolves ``w`` alone, as a
+``(B, d)`` state.  The call is a pure function of ``(t, alpha, x)``; it
+keeps its old name because ``perfbench/tracer.py`` patches it by name.  It
 returns the Yosida regularization factored as ``coef[..., None] * base``,
 and each role reads its row: the Girsanov sums add
 ``coef * colsum((base/sig) * dW)`` and ``coef**2 * colsum((base/sig)**2) * dt``,
@@ -39,18 +40,18 @@ drifts ``base`` is the stack itself, so the ``w`` sums run on the unbroadcast
 full regularization as ``base``, and the ``w`` sums read its ``w`` row.  Sums
 over the mode axis go through :func:`drifts.colsum` in a fixed order.  The
 radial resolvents solve their norm equation in closed form for growth power 2
-(:func:`drifts.radial_scale`), so the warm start seeds only the Newton
-fallback: an element whose polished residual misses its contract, or any
-other power.  The closed form and the Newton solve both act per element, so
-a value depends neither on the other paths of its block, nor on the other
-alphas of the run, nor on the other roles of its step, nor on the memory
-layout: that is what makes the cubic and time-modulated drifts invariant to
-block size, worker count and alpha set, and the stacked call bitwise equal
-to one call per role.
+(:func:`drifts.radial_scale`), with a cold-started Newton fallback for an
+element whose polished residual misses its contract, and by that Newton
+solve for any other power.  The closed form and the Newton solve both act
+per element, so a value depends neither on the other paths of its block,
+nor on the other alphas of the run, nor on the other roles of its step, nor
+on the memory layout: that is what makes the cubic and time-modulated
+drifts invariant to block size, worker count and alpha set, and the stacked
+call bitwise equal to one call per role.
 
 Record and flush.  A step runs only what must run in sequence: the exact OU
 step, the Girsanov sums, and the implicit regularized step with its
-warm-started resolvents.  Before each step it records what the diagnostics
+resolvents.  Before each step it records what the diagnostics
 need of the node into chunk buffers: ``|w0|`` and ``|w|`` of every path,
 ``|z|`` and ``|X|`` of the checked paths, the adjacent-alpha gaps, and the
 running exponents when stopped exponents are asked for.  Every
@@ -142,7 +143,6 @@ class EnsembleResult:
     tasks: EnsembleTasks
     final_w0: np.ndarray
     w0_max: np.ndarray
-    w_max: np.ndarray
     zeta_mart: np.ndarray | None = None
     zeta_quad: np.ndarray | None = None
     rt_mart: np.ndarray | None = None
@@ -294,7 +294,6 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     z = np.tile(model.x0[:, None, None], (1, A, B)).transpose(1, 2, 0) \
         if integrate else None
     runmax_w0 = np.zeros(B)
-    runmax_w = np.zeros(B)
     zeta = np.zeros((2, A, B)) if girsanov else None    # martingale, quadratic
     zeta_mart, zeta_quad = zeta if girsanov else (None, None)
     rt_mart = np.zeros((A, B)) if girsanov and integrate else None
@@ -438,7 +437,6 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         rm = np.maximum.accumulate(nw0, axis=0)
         np.maximum(rm, runmax_w0, out=rm)
         runmax_w0[...] = rm[-1]
-        np.maximum(runmax_w, nw.max(axis=0), out=runmax_w)
         if need_I:
             I1, I2 = envelopes(s, n, nw0)
         if L:
@@ -480,7 +478,6 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         roles = stack if girsanov else stack[2:]
         t_roles = np.stack((times[:-1], times[:-1], times[1:]),
                            axis=1)[:, 3 - len(roles):, None, None]
-    ws = None   # warm-start state of every role resolved
     for s in range(0, N + 1, F):
         n = min(F, N + 1 - s)       # nodes s .. s+n-1; node N takes no step
         steps = min(n, N - s)
@@ -516,8 +513,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                 np.add(zp, w0_next, out=stack[2])
                 if girsanov:
                     stack[0] = w_cur
-                coef, base, ws = drift.resolvent_warm(t_roles[k], alpha_col,
-                                                      roles, ws)
+                coef, base = drift.resolvent_warm(t_roles[k], alpha_col, roles)
                 if girsanov:
                     # a radial base is the stack itself: its w rows repeat
                     # w_cur, so the w sums run once on the (B, d) state
@@ -526,7 +522,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                     girsanov_sums(coef[1], base[1], dWk, rt_mart, rt_quad)
                 z = zp + (dt * coef[-1])[..., None] * base[-1]
             elif girsanov:
-                coef, base, ws = drift.resolvent_warm(times[k], alpha_col, w_cur, ws)
+                coef, base = drift.resolvent_warm(times[k], alpha_col, w_cur)
                 girsanov_sums(coef, base, dWk, zeta_mart, zeta_quad)
             w0[...] = w0_next
         flush(s, n)
@@ -538,7 +534,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
 
     return {
         "final_w0": np.ascontiguousarray(w0),
-        "w0_max": runmax_w0, "w_max": runmax_w,
+        "w0_max": runmax_w0,
         "zeta_mart": zeta_mart, "zeta_quad": zeta_quad,
         "rt_mart": rt_mart, "rt_quad": rt_quad,
         "tau_half": tau_h if L else None, "tau_full": tau_f if L else None,
@@ -582,7 +578,7 @@ def split_paths(n_paths: int, n_check: int, block_size: int) -> list:
 # the order of the paths it holds (every path, the checked or the field
 # paths), a dict result array by array; the counts in _SUMMED are summed
 _JOIN = {name: (axis, paths) for axis, paths, names in (
-    (0, "every", "final_w0 w0_max w_max"),
+    (0, "every", "final_w0 w0_max"),
     (1, "every", "zeta_mart zeta_quad rt_mart rt_quad tau_half tau_full "
                  "sup_gaps z_final"),
     (2, "every", "stopped_mart stopped_quad"),

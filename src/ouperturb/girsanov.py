@@ -81,17 +81,16 @@ class StoppedMomentReport:
 
 
 def stopped_moment_bound(ens: DensityEnsemble, level: float, model: GalerkinModel,
-                         drift: Drift, alpha_index: int = 0,
-                         t: float | None = None) -> StoppedMomentReport:
-    """Second moment of the transformed density on ``{tau_level >= t}``.
+                         drift: Drift, alpha_index: int = 0) -> StoppedMomentReport:
+    """Second moment of the transformed density on ``{tau_level >= T}``,
+    ``T`` the horizon.
 
     Must stay below ``exp(5 (a(level) |s^-1|)^2 T)`` up to Monte Carlo error.
     The exponential is only evaluated on the indicator set, where the exponent
     is bounded by construction.
     """
-    t = ens.horizon if t is None else t
     li = list(ens.tau_levels).index(level)
-    keep = ens.tau[li] >= t - 1e-15
+    keep = ens.tau[li] >= ens.horizon - 1e-15
     vals = np.zeros(ens.n_paths)
     overflow = 0
     if keep.any():

@@ -48,6 +48,12 @@ class Check:
                 "margin": float(self.margin), "detail": self.detail}
 
 
+def check_line(row: dict) -> str:
+    """A check's manifest row as ``summary.txt`` and ``report`` print it."""
+    return (f"{row['id']:46s} {'PASS' if row.get('pass') else 'FAIL':6s} "
+            f"{row.get('margin', 0):12.4g}  {row.get('detail', '')}")
+
+
 def bound_gate(viol: int, worst: float) -> bool:
     """Pass a bound check only on zero violations and a finite worst margin.
 
@@ -422,7 +428,7 @@ def stage_girsanov(state: RunState):
 def stage_psi(state: RunState):
     cfg = state.cfg
     state.say("stage psi")
-    if getattr(state, "tail_table", None) is None:
+    if state.tail_table is None:
         stage_girsanov(state)
     tt = state.tail_table
     tabfn = TabulatedTail(tuple(tt.y), tuple(tt.p_upper))
@@ -478,9 +484,7 @@ def stage_report(state: RunState):
     state.say("stage report")
     lines = [f"ouperturb {__version__} run summary", ""]
     lines.append(f"{'check':46s} {'result':6s} {'margin':>12s}  detail")
-    for c in state.checks:
-        lines.append(f"{c.id:46s} {'PASS' if c.passed else 'FAIL':6s} "
-                     f"{c.margin:12.4g}  {c.detail}")
+    lines += [check_line(c.row()) for c in state.checks]
     n_fail = sum(1 for c in state.checks if not c.passed)
     lines.append("")
     lines.append(f"{len(state.checks)} checks, {n_fail} failures")
@@ -545,10 +549,8 @@ def report_from_manifest(out_dir, quiet: bool = False) -> int:
              f"stages: {', '.join(manifest.get('stages', []))}", ""]
     n_fail = 0
     for c in manifest.get("checks", []):
-        ok = bool(c.get("pass"))
-        n_fail += 0 if ok else 1
-        lines.append(f"{c['id']:46s} {'PASS' if ok else 'FAIL':6s} "
-                     f"{c.get('margin', 0):12.4g}  {c.get('detail', '')}")
+        n_fail += 0 if c.get("pass") else 1
+        lines.append(check_line(c))
     for label, names in (("missing files", missing),
                          ("files not matching their sha256", changed)):
         if names:

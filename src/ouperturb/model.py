@@ -73,7 +73,7 @@ def validate_model(model: GalerkinModel) -> GalerkinModel:
     problems = []
     if model.beta <= 0:
         problems.append(f"beta must be positive, got {model.beta}")
-    if model.horizon <= 0:
+    if not model.horizon > 0:
         problems.append(f"horizon must be positive, got {model.horizon}")
     if model.x0.size != model.dim:
         problems.append(f"x0 has length {model.x0.size}, expected dim {model.dim}")

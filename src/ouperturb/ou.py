@@ -65,11 +65,6 @@ def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def sample_noise(rng: np.random.Generator, n_steps: int, dim: int) -> np.ndarray:
-    """Draw the per-step standard-normal pairs, shape ``(n_steps, 2, dim)``."""
-    return rng.standard_normal((n_steps, 2, dim))
-
-
 @dataclass(eq=False)
 class SamplePath:
     """One realization: centered states, Wiener increments, and derived views.
@@ -114,7 +109,7 @@ def sample_ou_block(model: GalerkinModel, grid: PathGrid, master_seed: int,
     dW = np.empty((B, N, d))
     conv = np.empty((B, N, d))
     for b, idx in enumerate(indices):
-        xi = sample_noise(path_rng(master_seed, idx), N, d)
+        xi = path_rng(master_seed, idx).standard_normal((N, 2, d))
         dW[b] = sq * xi[:, 0, :]
         conv[b] = a1 * xi[:, 0, :] + a2 * xi[:, 1, :]
     w0 = np.zeros((B, N + 1, d))
@@ -124,11 +119,12 @@ def sample_ou_block(model: GalerkinModel, grid: PathGrid, master_seed: int,
 
 
 def sample_ou_paths(model: GalerkinModel, grid: PathGrid, n_paths: int,
-                    master_seed: int, block: int = 256) -> list[SamplePath]:
-    """Sample an ensemble as a list of paths (full storage; desk scale)."""
+                    master_seed: int) -> list[SamplePath]:
+    """Sample an ensemble as a list of paths (full storage; desk scale),
+    in blocks of 256 paths."""
     out = []
-    for lo in range(0, n_paths, block):
-        idx = range(lo, min(lo + block, n_paths))
+    for lo in range(0, n_paths, 256):
+        idx = range(lo, min(lo + 256, n_paths))
         w0, dW = sample_ou_block(model, grid, master_seed, idx)
         for b, i in enumerate(idx):
             out.append(SamplePath(grid, model.x0, w0[b], dW[b],

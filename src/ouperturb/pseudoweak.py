@@ -68,11 +68,12 @@ class TestMeasureGrid:
     path_subsets: list               # (name, path mask)
     time_modes: list                 # (name, values on nodes)
     space_modes: list                # coordinate indices
-    clip_levels: tuple = (1.0, 2.0, 4.0)
+    clip_levels = (1.0, 2.0, 4.0)    # of the clipped functionals; not a field
 
     @classmethod
-    def build(cls, times, n_paths, dim, n_time_modes: int = 8,
-              n_space_modes: int | None = None, clip_levels=(1.0, 2.0, 4.0)):
+    def build(cls, times, n_paths, dim):
+        """Four time windows and path subsets, eight time modes (a constant,
+        then cosines and sines) and the first ``min(dim, 8)`` coordinates."""
         times = np.asarray(times, dtype=float)
         S = times.size
         w = np.zeros(S)
@@ -99,15 +100,14 @@ class TestMeasureGrid:
         ]
         modes = [("const", np.ones(S))]
         j = 1
-        while len(modes) < n_time_modes:
+        while len(modes) < 8:
             phase = 2.0 * np.pi * j * (times - times[0]) / max(horizon, 1e-300)
             modes.append((f"cos{j}", np.cos(phase)))
-            if len(modes) < n_time_modes:
+            if len(modes) < 8:
                 modes.append((f"sin{j}", np.sin(phase)))
             j += 1
-        space = list(range(min(dim, n_space_modes if n_space_modes else 8)))
-        return cls(times, w, n_paths, windows, subsets, modes, space,
-                   tuple(clip_levels))
+        return cls(times, w, n_paths, windows, subsets, modes,
+                   list(range(min(dim, 8))))
 
 
 @dataclass
@@ -160,13 +160,12 @@ def weak_gap(field_a: np.ndarray, field_b: np.ndarray, grid: TestMeasureGrid,
     return GapMatrix(rows, worst)
 
 
-def cesaro_limit(fields, compression: BallCompression | None = None,
-                 clamp_margin: float = 1e-9):
+def cesaro_limit(fields, compression: BallCompression | None = None):
     """Average the compressed fields and invert back into the state space.
 
-    Entries whose compressed mean lands on or outside the unit sphere are
-    clamped strictly inside (count reported).  Raises if every entry needed
-    clamping, which signals divergence of the family.
+    Entries whose compressed mean lands within 1e-9 of the unit sphere, or
+    outside it, are clamped to radius ``1 - 1e-9`` (count reported).  Raises
+    if every entry needed clamping, which signals divergence of the family.
     """
     comp = compression or BallCompression()
     if len(fields) < 2:
@@ -177,12 +176,12 @@ def cesaro_limit(fields, compression: BallCompression | None = None,
         r = np.linalg.norm(mean, axis=-1)
         # entries this close to the sphere are numerically outside the
         # inverse's sane range
-        bad = r >= comp.sup - clamp_margin
+        bad = r >= comp.sup - 1e-9
         clamped = int(np.sum(bad))
         if clamped and clamped == r.size:
             raise ValueError("all entries required clamping; family diverges")
         if clamped:
-            factor = np.where(bad, (comp.sup - clamp_margin) / np.where(bad, r, 1.0), 1.0)
+            factor = np.where(bad, (comp.sup - 1e-9) / np.where(bad, r, 1.0), 1.0)
             mean = factor[..., None] * mean
     return comp.invert(mean), clamped
 
@@ -198,9 +197,10 @@ class LimsupReport:
         return self.violations == 0
 
 
-def limsup_check(fields, candidate, slack: float = 1e-9) -> LimsupReport:
-    """Pointwise ``|candidate| <= max_n |field_n|`` over the supplied tail."""
+def limsup_check(fields, candidate) -> LimsupReport:
+    """Pointwise ``|candidate| <= max_n |field_n| + 1e-9`` over the supplied
+    tail."""
     norms = np.max([np.linalg.norm(f, axis=-1) for f in fields], axis=0)
     cn = np.linalg.norm(candidate, axis=-1)
-    excess = cn - norms - slack
+    excess = cn - norms - 1e-9
     return LimsupReport(int(np.sum(excess > 0)), float(np.max(excess)), cn.size)

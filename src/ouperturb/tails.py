@@ -18,10 +18,11 @@ import numpy as np
 FLOAT_SANE_Y = 1e15
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.96):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, n: int):
+    """Wilson score interval for a binomial proportion, at 95% (z = 1.96)."""
     if n == 0:
         return 0.0, 1.0
+    z = 1.96
     ph = successes / n
     z2 = z * z
     den = 1.0 + z2 / n
@@ -196,8 +197,7 @@ class BumpBuildInfo:
     series_bound: float          # sum over used knots of 3/k^2
 
 
-def build_bump_weight(p_y, p_vals, max_knots: int = 64,
-                      y_cap: float = FLOAT_SANE_Y):
+def build_bump_weight(p_y, p_vals, max_knots: int = 64):
     """Greedy knot placement: smallest tabulated ``y`` with ``p <= 1/k^2``,
     spaced at least 3 apart.
 
@@ -216,7 +216,7 @@ def build_bump_weight(p_y, p_vals, max_knots: int = 64,
             truncated = True
             break
         yk = max(float(p_y[ok[0]]), prev + 3.0)
-        if yk + 3.0 > y_cap or yk + 3.0 == yk:
+        if yk + 3.0 > FLOAT_SANE_Y or yk + 3.0 == yk:
             truncated = True
             break
         knots.append(yk)
@@ -300,9 +300,10 @@ class EnvelopeWeight(UIWeight):
     def value(self, y):
         return 1.0 / np.sqrt(self.tail(y))
 
-    def deriv(self, y, h_rel: float = 1e-6):
+    def deriv(self, y):
+        """Central difference with step ``1e-6 * (1 + |y|)``, one-sided at 0."""
         y = np.asarray(y, dtype=float)
-        h = h_rel * (1.0 + np.abs(y))
+        h = 1e-6 * (1.0 + np.abs(y))
         return (self.value(y + h) - self.value(np.maximum(y - h, 0.0))) / \
             (y + h - np.maximum(y - h, 0.0))
 
@@ -315,9 +316,9 @@ class IntegralReport:
     passed: bool | None
 
 
-def weight_tail_integral(weight: UIWeight, p_fn, y_max: float,
-                         n_grid: int = 20000, y_min: float = 0.0) -> float:
-    """Trapezoid quadrature of ``int Psi'(y) p(y) dy`` on a log-spaced grid.
+def weight_tail_integral(weight: UIWeight, p_fn, y_max: float) -> float:
+    """Trapezoid quadrature of ``int Psi'(y) p(y) dy`` from ``1e-9`` to
+    ``y_max``: 512 linear nodes below 1, then 20000 log-spaced ones.
 
     Bump weights are integrated per bump with the Gauss rule instead, since a
     log grid cannot resolve unit-width plateaus at large ``y``.  A non-finite
@@ -336,9 +337,8 @@ def weight_tail_integral(weight: UIWeight, p_fn, y_max: float,
             total += float(np.sum(weight.deriv(s) * np.asarray(p_fn(s))
                                   * _GL_WEIGHTS) * half)
         return total
-    lo = max(y_min, 1e-9)
-    grid = np.concatenate([np.linspace(lo, 1.0, 512, endpoint=False),
-                           np.geomspace(1.0, y_max, n_grid)])
+    grid = np.concatenate([np.linspace(1e-9, 1.0, 512, endpoint=False),
+                           np.geomspace(1.0, y_max, 20000)])
     f = weight.deriv(grid) * np.asarray(p_fn(grid))
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     return float(trapezoid(f, grid))
@@ -401,23 +401,22 @@ class ChainFitReport:
 
 
 def admissibility_chain_fit(p0: P0Table, bound_inverse, weight: UIWeight,
-                            y_grid, c1_grid=None, c2_grid=None,
-                            c3: float = 1.0) -> ChainFitReport:
+                            y_grid) -> ChainFitReport:
     """Fit constants making ``Psi(y) < 1/sqrt(p0(C1 a^-1(C2 a^-1(sqrt(log(C3+y))))))``.
 
-    ``bound_inverse`` inverts the radial envelope.  The constants are a
-    best-fit report (existence only); the fit maximizes the fraction of the
-    grid where the chain holds, then the worst log-margin.
+    ``bound_inverse`` inverts the radial envelope.  ``C3 = 1``, and ``C1``,
+    ``C2`` range over 25 log-spaced values in ``[0.05, 20]`` each.  The
+    constants are a best-fit report (existence only); the fit maximizes the
+    fraction of the grid where the chain holds, then the worst log-margin.
     """
     y = np.asarray(y_grid, dtype=float)
     psi_vals = weight.value(y)
     best = None
-    c1_grid = c1_grid if c1_grid is not None else np.geomspace(0.05, 20.0, 25)
-    c2_grid = c2_grid if c2_grid is not None else np.geomspace(0.05, 20.0, 25)
-    for c1 in c1_grid:
-        for c2 in c2_grid:
+    c_grid = np.geomspace(0.05, 20.0, 25)
+    for c1 in c_grid:
+        for c2 in c_grid:
             s = c1 * np.asarray(bound_inverse(c2 * np.asarray(
-                bound_inverse(np.sqrt(np.log(c3 + y))))))
+                bound_inverse(np.sqrt(np.log(1.0 + y))))))
             rhs = 1.0 / np.sqrt(np.maximum(p0.interp(s), 1e-300))
             with np.errstate(divide="ignore"):
                 margin = np.log(rhs) - np.log(psi_vals)
@@ -427,4 +426,4 @@ def admissibility_chain_fit(p0: P0Table, bound_inverse, weight: UIWeight,
             if best is None or key > best[0]:
                 best = (key, (float(c1), float(c2)))
     (frac, worst), (c1, c2) = best
-    return ChainFitReport(c1, c2, float(c3), frac, worst)
+    return ChainFitReport(c1, c2, 1.0, frac, worst)

@@ -115,12 +115,13 @@ def objective(w: WeightFunction, c: float, beta: float, B: float, u):
     return np.where(np.isnan(f), -np.inf, f)
 
 
-def estimate_constant(w: WeightFunction, c, beta, B, grid_points: int = 4096):
+def estimate_constant(w: WeightFunction, c, beta, B):
     """Sharp constant dominating ``w'(u)(c*sqrt(u) - beta*u) + B*w(u)``.
 
     Requires ``0 < B < beta * ratio_limit`` (any positive ``B`` when the
-    limit is infinite).  Dense grid search over an expanding bracket, one
-    triple at a time, then golden-section refinement around the best cell.
+    limit is infinite).  Dense grid search (4096 points) over an expanding
+    bracket, one triple at a time, then golden-section refinement around the
+    best cell.
 
     Scalar ``c``, ``beta``, ``B`` give one :class:`EstimateConstant`.  1-D
     arrays, broadcast together, give a list with one per element: the
@@ -135,6 +136,7 @@ def estimate_constant(w: WeightFunction, c, beta, B, grid_points: int = 4096):
     cs, betas, Bs = (np.atleast_1d(v) for v in (cs, betas, Bs))
     L = w.ratio_limit
     n = cs.size
+    grid_points = 4096
     lo, up, bracket, grid_max = (np.empty(n) for _ in range(4))
     for i in range(n):
         ci, bi, Bi = float(cs[i]), float(betas[i]), float(Bs[i])

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,19 +112,6 @@ def test_resolvent_residual_contract():
         assert np.all(res <= 1e-10 * (1 + np.linalg.norm(x, axis=1))), name
 
 
-def test_resolvent_warm_matches_cold():
-    # the resolvent rebuilt from the factored regularization, J = x + alpha F
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal((50, 3))
-    cold = CUBIC.resolvent(0.0, 0.05, x)
-    coef, base, state = CUBIC.resolvent_warm(0.0, 0.05, x, None)
-    warm = x + 0.05 * coef[:, None] * base
-    coef, base, _ = CUBIC.resolvent_warm(0.0, 0.05, x, state)
-    warm2 = x + 0.05 * coef[:, None] * base
-    assert np.allclose(cold, warm, atol=1e-14)
-    assert np.allclose(cold, warm2, atol=1e-12)
-
-
 def test_solver_error_reports_worst_element():
     # one Newton step from the cold start s = r cannot meet the stop; the
     # error names the alpha, radius and residual of the worst element
@@ -141,50 +130,47 @@ def test_solver_error_reports_worst_element():
 
 @pytest.mark.parametrize("power,coef", [(0.0, 3.0), (1.0, 2.0), (2.0, 1.0)])
 def test_closed_form_resolvent_contract(power, coef):
-    # every element meets |h| <= 1e-13 r, at r = 0 too, from a cold and a
-    # warm start, including alpha = 0 and alpha = 1e-200, where the cubic
-    # formula gives NaN and the Newton fallback solves; powers 0 and 1 take
-    # the Newton solve throughout.  The norm solution is the state that
-    # resolvent_warm returns; J is built both as the resolvent builds it and,
-    # for alpha > 0, from the factored form
+    # every element meets |h| <= 1e-13 r, at r = 0 too, including alpha = 0
+    # and alpha = 1e-200, where the cubic formula gives NaN and the Newton
+    # fallback solves; powers 0 and 1 take the Newton solve throughout.  J is
+    # built both as the resolvent builds it from the norm solution and, for
+    # alpha > 0, from the factored form resolvent_warm returns
     drift = RadialDrift(RadialGrowth(coef=coef, power=power))
     r = np.concatenate([[0.0], np.geomspace(1e-6, 1e3, 20_000)])
     x = np.zeros((r.size, 3))
     x[:, 1] = r
     eps = np.finfo(float).eps
     for alpha in (0.0, 1e-200, 1e-6, 0.01, 1.0):
-        for warm in (None, 0.5 * r):
-            with np.errstate(divide="ignore", invalid="ignore"):   # coef at alpha 0
-                coef_, base, s = drift.resolvent_warm(0.0, alpha, x, warm)
-            h = s + alpha * drift.growth(s) * s - r
-            assert np.all(np.abs(h) <= 1e-13 * r), alpha
-            assert np.all(s >= 0) and s[0] == 0.0
-            assert base is x
-            # J = (s/r) x as the resolvent builds it, from the same start
-            factor, s_j = drift.scale(alpha, x, warm)
-            j = factor[:, None] * x
-            assert np.array_equal(s_j, s)
-            if warm is None:
-                assert np.array_equal(drift.resolvent(0.0, alpha, x), j)
-            np.testing.assert_allclose(j[:, 1], s, rtol=1e-15, atol=0)
+        s = drift.norm_solve(alpha, drifts.norm(x))
+        h = s + alpha * drift.growth(s) * s - r
+        assert np.all(np.abs(h) <= 1e-13 * r), alpha
+        assert np.all(s >= 0) and s[0] == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):   # coef at alpha 0
+            coef_, base = drift.resolvent_warm(0.0, alpha, x)
+        assert base is x
+        # J = (s/r) x as the resolvent builds it, from the same solve
+        factor = drift.scale(alpha, x)
+        assert np.array_equal(factor[1:], s[1:] / r[1:]) and factor[0] == 0.0
+        j = factor[:, None] * x
+        assert np.array_equal(drift.resolvent(0.0, alpha, x), j)
+        np.testing.assert_allclose(j[:, 1], s, rtol=1e-15, atol=0)
+        assert not j[:, [0, 2]].any()
+        if alpha > 0:
+            # x + alpha coef x rounds twice more than (s/r) x: a few ulp of r
+            j = x + alpha * coef_[:, None] * base
+            assert np.all(np.abs(j[:, 1] - s) <= 4 * eps * r), alpha
             assert not j[:, [0, 2]].any()
-            if alpha > 0:
-                # x + alpha coef x rounds twice more than (s/r) x: a few ulp of r
-                j = x + alpha * coef_[:, None] * base
-                assert np.all(np.abs(j[:, 1] - s) <= 4 * eps * r), alpha
-                assert not j[:, [0, 2]].any()
 
 
 def test_closed_form_miss_falls_back_to_newton(monkeypatch):
     # an element whose closed form misses the contract is solved again by
-    # the Newton solve from its warm start; with one Newton step allowed,
-    # the solver error names that element
+    # the Newton solve from the cold start s = r; with one Newton step
+    # allowed, the solver error names that element
     growth = RadialGrowth()
     alpha = np.array([0.1, 0.2])[:, None]
     r = np.array([[0.5, 3.0, 40.0], [0.7, 40.0, 2.0]])
-    warm = 0.9 * r
     closed = drifts.closed_radial_scale
-    clean = drifts.radial_scale(growth, alpha, r, s0=warm)
+    clean = drifts.radial_scale(growth, alpha, r)
 
     def miss_one(g, a, rr):
         s, h = closed(g, a, rr)
@@ -192,14 +178,13 @@ def test_closed_form_miss_falls_back_to_newton(monkeypatch):
         return s, h
 
     monkeypatch.setattr(drifts, "closed_radial_scale", miss_one)
-    out = drifts.radial_scale(growth, alpha, r, s0=warm)
-    newton = solve_radial_scale(growth, 0.2, r[1, 1], s0=warm[1, 1])
+    out = drifts.radial_scale(growth, alpha, r)
+    newton = solve_radial_scale(growth, 0.2, r[1, 1])
     assert out[1, 1] == newton
     mask = np.ones_like(r, dtype=bool)
     mask[1, 1] = False
     assert np.array_equal(out[mask], clean[mask])
-    _, _, state = RadialDrift(growth).resolvent_warm(0.0, alpha, r[..., None], warm)
-    assert state[1, 1] == newton
+    assert RadialDrift(growth).norm_solve(alpha, r)[1, 1] == newton
 
     monkeypatch.setattr(drifts, "solve_radial_scale",
                         lambda *a, **k: solve_radial_scale(*a, **k, max_iter=1))
@@ -244,7 +229,7 @@ def test_factored_yosida_matches_definition(name, t):
     eps = np.finfo(float).eps
     for x in (rng.standard_normal((B, d)) * 3, rng.standard_normal((A, B, d)) * 3):
         x[..., ::7, :] = 0.0
-        coef, base, _ = drift.resolvent_warm(t, alpha, x)
+        coef, base = drift.resolvent_warm(t, alpha, x)
         assert coef.shape == (A, B)
         if isinstance(drift, drifts.RadialFamily) or (
                 isinstance(drift, drifts.TimeModulatedDrift)
@@ -258,6 +243,29 @@ def test_factored_yosida_matches_definition(name, t):
             tol = 8 * eps * np.linalg.norm(xi, axis=-1, keepdims=True) / a
             assert np.all(np.abs(got[i] - want) <= tol), (name, a)
             assert np.array_equal(got[i][::7], np.zeros_like(got[i][::7]))
+
+
+def test_resolvent_warm_is_pure():
+    # resolvent_warm is a function of (t, alpha, x) alone: two calls on the
+    # same input agree bit for bit, also with a call on other states of the
+    # same shape in between (which would seed a carried warm start), and
+    # the resolvent rebuilt from it, J = x + alpha F, is the one resolvent
+    # computes
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((50, 3))
+    other = rng.standard_normal((50, 3)) * 5
+    for name, drift in FACTORED.items():
+        params = list(inspect.signature(drift.resolvent_warm).parameters)
+        assert params == ["t", "alpha", "x"], name
+        first = drift.resolvent_warm(0.7, 0.05, x)
+        drift.resolvent_warm(0.7, 0.05, other)
+        again = drift.resolvent_warm(0.7, 0.05, x)
+        assert len(first) == 2 and all(isinstance(v, np.ndarray) for v in first)
+        for u, v in zip(first, again):
+            assert u.tobytes() == v.tobytes(), name
+        coef, base = first
+        rebuilt = x + 0.05 * coef[:, None] * base
+        assert np.allclose(drift.resolvent(0.7, 0.05, x), rebuilt, atol=1e-14), name
 
 
 @settings(max_examples=100, deadline=None)

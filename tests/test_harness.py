@@ -117,6 +117,35 @@ def test_cli_overrides_get_the_config_check(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("grid",), {"dt": 0}, "grid.dt: must be finite and > 0"),
+    (("grid",), {"dt": float("nan")}, "grid.dt: must be finite and > 0"),
+    (("model", "horizon"), 0, "model: horizon must be positive"),
+    (("model", "horizon"), -1, "model: horizon must be positive"),
+    (("grid", "n_steps"), -5, "grid.n_steps: must be >= 1"),
+    (("girsanov", "psi", "delta"), 2.0, "girsanov.psi.delta: delta must lie in"),
+], ids=["dt0", "dt_nan", "horizon0", "horizon-1", "n_steps-5", "psi_delta2"])
+def test_config_rejects_values_that_failed_after_the_check(tmp_path, capsys, path,
+                                                           value, message):
+    # the config check itself rejects each value: exit 2, naming the key,
+    # with nothing written, and no grid is built from the value (so no
+    # dt message names a clamped step)
+    raw = json.loads(SMOKE.read_text())
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    code = cli.main(["all", "--config", str(bad), "--paths", "8",
+                     "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 2 and "config error: " in err
+    assert message in err and "dt=" not in err, err
+    assert not out.exists()
+
+
 def test_config_bound_echo_must_match():
     raw = json.loads(SMOKE.read_text())
     raw["drift"]["bound"] = "something else"
