@@ -16,8 +16,7 @@ from .model import (GalerkinModel, ModelValidationError, semigroup_apply,
 from .ou import (PathGrid, SamplePath, fernique_probe, largest_stable_gamma,
                  ou_moments, sample_ou_paths)
 from .weights import WeightFunction, estimate_constant, make_weight
-from .girsanov import (DensityEnsemble, entropy_statistic, martingale_check,
-                       stopped_moment_bound)
+from .girsanov import entropy_statistic, martingale_check, stopped_moment_bound
 from .pseudoweak import (BallCompression, TestMeasureGrid, cesaro_limit,
                          limsup_check, weak_gap)
 from .tails import (BumpSumWeight, ClosedFormWeight, EnvelopeWeight,

@@ -52,6 +52,16 @@ def _auto_eigenvalues(dim: int, beta: float):
     return [-beta * (1.0 + i) for i in range(dim)]
 
 
+def _read(key: str, value, kind):
+    """``kind(value)``; a value of the wrong type, or a NaN or infinity where
+    an integer is due, is a config error naming ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key}: cannot read {value!r} as "
+                          f"{kind.__name__}") from None
+
+
 def _require(cond, errors, msg):
     if not cond:
         errors.append(msg)
@@ -60,8 +70,8 @@ def _require(cond, errors, msg):
 def parse_config(raw: dict) -> ExperimentConfig:
     errors = []
     mb = raw.get("model", {})
-    dim = int(mb.get("dim", 4))
-    beta = float(mb.get("beta", 1.0))
+    dim = _read("model.dim", mb.get("dim", 4), int)
+    beta = _read("model.beta", mb.get("beta", 1.0), float)
     eig = mb.get("eigenvalues", "auto")
     if eig == "auto":
         eig = _auto_eigenvalues(dim, beta)
@@ -75,7 +85,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     x0 = mb.get("x0", 0.0)
     if isinstance(x0, (int, float)):
         x0 = [float(x0)] * dim
-    horizon = float(mb.get("horizon", 1.0))
+    horizon = _read("model.horizon", mb.get("horizon", 1.0), float)
     model = GalerkinModel(eigenvalues=eig, beta=beta, sigma_diag=sig,
                           horizon=horizon, x0=x0)
     try:
@@ -86,10 +96,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     gb = raw.get("grid", {})
     n_steps = 0
     if "n_steps" in gb:
-        n_steps = int(gb["n_steps"])
+        n_steps = _read("grid.n_steps", gb["n_steps"], int)
         _require(n_steps >= 1, errors, "grid.n_steps: must be >= 1")
     elif "dt" in gb:
-        dt = float(gb["dt"])
+        dt = _read("grid.dt", gb["dt"], float)
         if not 0 < dt < np.inf:
             errors.append("grid.dt: must be finite and > 0")
         elif horizon > 0:
@@ -112,8 +122,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"drift.bound: declared {bound_echo!r} but catalog derives "
             f"{drift.bound_name()!r}")
 
-    alphas = tuple(float(a) for a in raw.get("sweep", {}).get(
-        "alpha_list", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]))
+    alphas = tuple(_read("sweep.alpha_list", a, float) for a in raw.get(
+        "sweep", {}).get("alpha_list", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]))
     _require(len(alphas) >= 2, errors, "sweep.alpha_list: need >= 2 entries")
     _require(all(a > 0 for a in alphas), errors, "sweep.alpha_list: must be positive")
     _require(all(a1 > a2 for a1, a2 in zip(alphas, alphas[1:])), errors,
@@ -125,31 +135,33 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"{min(alphas) / 8.0:g}; need n_steps >= {need}")
 
     mc = raw.get("mc", {})
-    n_paths = int(mc.get("n_paths", 1000))
-    master_seed = int(mc.get("master_seed", 0))
+    n_paths = _read("mc.n_paths", mc.get("n_paths", 1000), int)
+    master_seed = _read("mc.master_seed", mc.get("master_seed", 0), int)
     _require(n_paths >= 1, errors, "mc.n_paths: must be >= 1")
 
     pb = raw.get("phi", {})
     kinds = pb.get("kinds", [{"kind": "power", "p": 2.0},
                              {"kind": "exponential"}, {"kind": "xlog"}])
     weights = []
-    for spec in kinds:
+    for spec in _read("phi.kinds", kinds, list):
         try:
             weights.append(WeightFunction(spec["kind"], float(spec.get("p", 2.0))))
-        except (ValueError, KeyError) as exc:
+        except (TypeError, ValueError, KeyError) as exc:
             errors.append(f"phi.kinds: {exc}")
 
     gk = raw.get("girsanov", {})
-    tau_levels = tuple(int(v) for v in gk.get("tau_levels", list(range(0, 9))))
+    tau_levels = tuple(_read("girsanov.tau_levels", v, int)
+                       for v in gk.get("tau_levels", list(range(0, 9))))
     if list(tau_levels) != list(range(len(tau_levels))):
         errors.append("girsanov.tau_levels: need the contiguous ladder 0..max")
     yb = gk.get("y_grid", {"start": 1.5, "stop": 1e9, "count": 40})
     if isinstance(yb, dict):
-        y_grid = np.geomspace(float(yb.get("start", 1.5)),
-                              float(yb.get("stop", 1e9)),
-                              int(yb.get("count", 40)))
+        y_grid = np.geomspace(
+            _read("girsanov.y_grid.start", yb.get("start", 1.5), float),
+            _read("girsanov.y_grid.stop", yb.get("stop", 1e9), float),
+            _read("girsanov.y_grid.count", yb.get("count", 40), int))
     else:
-        y_grid = np.asarray([float(v) for v in yb])
+        y_grid = np.asarray([_read("girsanov.y_grid", v, float) for v in yb])
     y_min = admissible_y_start(drift.bound, model.inv_sigma_norm, horizon)
     if y_grid.size and y_grid[0] <= y_min:
         errors.append(
@@ -158,7 +170,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     psi = gk.get("psi", {"kind": "closed_form", "delta": 0.5})
     _require(psi.get("kind", "closed_form") == "closed_form", errors,
              "girsanov.psi.kind: only 'closed_form' is supported")
-    psi_delta = float(psi.get("delta", 0.5))
+    psi_delta = _read("girsanov.psi.delta", psi.get("delta", 0.5), float)
     try:
         ClosedFormWeight(psi_delta)
     except ValueError as exc:

@@ -101,9 +101,6 @@ class RadialGrowth:
             return np.zeros_like(r)
         return self.coef * self.power * np.power(r, self.power - 1.0)
 
-    def describe(self):
-        return {"coef": self.coef, "power": self.power}
-
 
 def solve_radial_scale(growth: RadialGrowth, alpha_eff, r, max_iter=80):
     """Solve ``s + alpha_eff * g(s) * s = r`` for ``s >= 0``, elementwise.
@@ -235,13 +232,6 @@ class Modulation:
         idx = np.clip(np.searchsorted(np.asarray(self.times), t, side="right") - 1, 0, None)
         return np.asarray(self.values, dtype=float)[idx]
 
-    def describe(self):
-        d = {"kind": self.kind}
-        if self.kind == "piecewise":
-            d["times"] = list(self.times)
-            d["values"] = list(self.values)
-        return d
-
 
 # ---------------------------------------------------------------------------
 # drift catalog
@@ -288,9 +278,6 @@ class Drift:
 
     def bound_name(self) -> str:
         raise NotImplementedError
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "bound": self.bound_name()}
 
 
 class RadialFamily(Drift):
@@ -369,10 +356,6 @@ class RadialDrift(RadialFamily):
     def bound_name(self):
         return f"g(r)*r with g(r)={self.growth.coef}*r^{self.growth.power}"
 
-    def describe(self):
-        return {"kind": self.kind, "growth": self.growth.describe(),
-                "bound": self.bound_name()}
-
 
 @dataclass(frozen=True)
 class L1SubgradientDrift(Drift):
@@ -431,9 +414,6 @@ class SaturatingDrift(RadialFamily):
     def bound_name(self):
         return "1"
 
-    def describe(self):
-        return {"kind": self.kind, "eps": self.eps, "bound": self.bound_name()}
-
 
 @dataclass(frozen=True)
 class TimeModulatedDrift(Drift):
@@ -473,11 +453,6 @@ class TimeModulatedDrift(Drift):
 
     def bound_name(self):
         return self.base.bound_name()
-
-    def describe(self):
-        return {"kind": self.kind, "base": self.base.describe(),
-                "modulation": self.modulation.describe(),
-                "bound": self.bound_name()}
 
 
 def make_drift(kind: str, *, dim: int | None = None, **params) -> Drift:

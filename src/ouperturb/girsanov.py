@@ -1,9 +1,11 @@
 """Density statistics of the change-of-measure exponents along simulated paths.
 
-Stochastic integrals use left-point (non-anticipating) sums, so the discrete
-stochastic exponential along the unperturbed path is an exact mean-one
-martingale at any step size.  Log-densities are kept in log space and only
-exponentiated inside aggregations, behind overflow masks.
+Each statistic reads the result of one streaming pass: its exponents
+``log_rho`` and ``log_rho_tilde`` and its half-form stopping times
+``tau_half``.  Stochastic integrals use left-point (non-anticipating) sums,
+so the discrete stochastic exponential along the unperturbed path is an
+exact mean-one martingale at any step size.  Log-densities are kept in log
+space and only exponentiated inside aggregations, behind overflow masks.
 """
 
 from __future__ import annotations
@@ -13,29 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drifts import Drift
+from .engine import EnsembleResult
 from .model import GalerkinModel
-
-
-@dataclass(eq=False)
-class DensityEnsemble:
-    """Per-path density statistics for one drift at several regularizations."""
-
-    alphas: tuple
-    drift_id: dict
-    model_id: dict
-    n_paths: int
-    master_seed: int
-    log_rho: np.ndarray            # (A, P) exponent along unperturbed paths
-    log_rho_tilde: np.ndarray      # (A, P) exponent along perturbed paths
-    tau_levels: tuple = ()
-    tau: np.ndarray | None = None       # (L, P) stopping times
-    stopped_log_rho: np.ndarray | None = None  # (Ls, A, P) exponent frozen at tau
-    stop_levels: tuple = ()
-    horizon: float = 0.0
-
-    def exit_counts(self) -> np.ndarray:
-        """Per level: number of paths whose threshold hit strictly before T."""
-        return np.sum(self.tau < self.horizon - 1e-15, axis=1).astype(int)
 
 
 def _mean_stderr(vals: np.ndarray):
@@ -46,28 +27,23 @@ def _mean_stderr(vals: np.ndarray):
 
 @dataclass
 class MartingaleReport:
-    alpha: float
     mean: float
     stderr: float
-    n_paths: int
 
     @property
     def passed(self) -> bool:
         return abs(self.mean - 1.0) <= 4.0 * self.stderr + 1e-12
 
 
-def martingale_check(ens: DensityEnsemble, alpha_index: int = 0) -> MartingaleReport:
+def martingale_check(res: EnsembleResult, alpha_index: int = 0) -> MartingaleReport:
     """Sample mean of the density must sit within four standard errors of one."""
     with np.errstate(over="ignore"):
-        rho = np.exp(ens.log_rho[alpha_index])
-    m, se = _mean_stderr(rho)
-    return MartingaleReport(ens.alphas[alpha_index], m, se, ens.n_paths)
+        rho = np.exp(res.log_rho[alpha_index])
+    return MartingaleReport(*_mean_stderr(rho))
 
 
 @dataclass
 class StoppedMomentReport:
-    level: float
-    alpha: float
     estimate: float
     stderr: float
     bound: float
@@ -80,8 +56,9 @@ class StoppedMomentReport:
         return self.estimate <= self.bound * (1.0 + 4.0 * rel) + 1e-12
 
 
-def stopped_moment_bound(ens: DensityEnsemble, level: float, model: GalerkinModel,
-                         drift: Drift, alpha_index: int = 0) -> StoppedMomentReport:
+def stopped_moment_bound(res: EnsembleResult, level: float,
+                         model: GalerkinModel, drift: Drift,
+                         alpha_index: int = 0) -> StoppedMomentReport:
     """Second moment of the transformed density on ``{tau_level >= T}``,
     ``T`` the horizon.
 
@@ -89,13 +66,13 @@ def stopped_moment_bound(ens: DensityEnsemble, level: float, model: GalerkinMode
     The exponential is only evaluated on the indicator set, where the exponent
     is bounded by construction.
     """
-    li = list(ens.tau_levels).index(level)
-    keep = ens.tau[li] >= ens.horizon - 1e-15
-    vals = np.zeros(ens.n_paths)
+    li = list(res.tasks.tau_levels).index(level)
+    keep = res.tau_half[li] >= res.grid.horizon - 1e-15
+    vals = np.zeros(res.n_paths)
     overflow = 0
     if keep.any():
         with np.errstate(over="ignore"):
-            ex = np.exp(2.0 * ens.log_rho_tilde[alpha_index][keep])
+            ex = np.exp(2.0 * res.log_rho_tilde[alpha_index][keep])
         overflow = int(np.sum(~np.isfinite(ex)))
         vals[keep] = ex
     m, se = _mean_stderr(vals)
@@ -103,13 +80,11 @@ def stopped_moment_bound(ens: DensityEnsemble, level: float, model: GalerkinMode
     with np.errstate(over="ignore"):
         bound = float(np.exp(5.0 * (a_n * model.inv_sigma_norm) ** 2
                              * model.horizon))
-    return StoppedMomentReport(level, ens.alphas[alpha_index], m, se, bound,
-                               int(np.sum(keep)), overflow)
+    return StoppedMomentReport(m, se, bound, int(np.sum(keep)), overflow)
 
 
 @dataclass
 class TwoRouteReport:
-    alpha: float
     route_source: float      # mean of rho * Psi(rho) on unperturbed paths
     stderr_source: float
     route_perturbed: float   # mean of Psi(rho_tilde) on perturbed paths
@@ -126,7 +101,8 @@ class TwoRouteReport:
             4.0 * self.combined_stderr + 1e-12
 
 
-def entropy_statistic(ens: DensityEnsemble, weight, alpha_index: int = 0) -> TwoRouteReport:
+def entropy_statistic(res: EnsembleResult, weight,
+                      alpha_index: int = 0) -> TwoRouteReport:
     """Two independent routes to the same expectation.
 
     Route one reweights by the density on the unperturbed ensemble; route two
@@ -134,14 +110,14 @@ def entropy_statistic(ens: DensityEnsemble, weight, alpha_index: int = 0) -> Two
     trajectories of the same seed family.  Agreement within combined Monte
     Carlo error is the change-of-measure identity at work.
     """
-    lr = ens.log_rho[alpha_index]
+    lr = res.log_rho[alpha_index]
     with np.errstate(over="ignore"):
         r1 = np.exp(lr) * np.asarray(weight.value_from_log(lr))
-        r2 = np.asarray(weight.value_from_log(ens.log_rho_tilde[alpha_index]))
+        r2 = np.asarray(weight.value_from_log(res.log_rho_tilde[alpha_index]))
     overflow = int(np.sum(~np.isfinite(r1)) + np.sum(~np.isfinite(r2)))
     m1, s1 = _mean_stderr(r1[np.isfinite(r1)]) if np.isfinite(r1).any() else (np.inf, 0)
     m2, s2 = _mean_stderr(r2[np.isfinite(r2)]) if np.isfinite(r2).any() else (np.inf, 0)
-    return TwoRouteReport(ens.alphas[alpha_index], m1, s1, m2, s2, overflow)
+    return TwoRouteReport(m1, s1, m2, s2, overflow)
 
 
 def entropy_stability(reports) -> float:

@@ -23,8 +23,7 @@ from .engine import EnsembleTasks, run_ensemble
 from .girsanov import (entropy_stability, entropy_statistic, martingale_check,
                        stopped_moment_bound)
 from .ou import fernique_probe, largest_stable_gamma, ou_moments, sample_ou_paths
-from .pseudoweak import BallCompression, TestMeasureGrid, cesaro_limit, \
-    limsup_check, weak_gap
+from .pseudoweak import TestMeasureGrid, cesaro_limit, limsup_check, weak_gap
 from .tails import (ClosedFormWeight, EnvelopeWeight, MollifiedWeight,
                     TabulatedTail, admissibility_chain_fit, build_bump_weight,
                     check_weight_integral, p0_from_counts, tail_table)
@@ -233,12 +232,11 @@ def stage_sweep(state: RunState):
                         -float(viol), f"{viol} violations (slacked)"))
 
     # weak-limit diagnostics on the strided fields
-    comp = BallCompression()
     tail_count = max(2, A // 2)
-    candidate, clamps = cesaro_limit(list(res.field_x[-tail_count:]), comp)
+    candidate, clamps = cesaro_limit(list(res.field_x[-tail_count:]))
     tgrid = TestMeasureGrid.build(res.snap_times, res.field_x.shape[1],
                                   dim=cfg.model.dim)
-    gms = [weak_gap(res.field_x[ai], candidate, tgrid, comp) for ai in range(A)]
+    gms = [weak_gap(res.field_x[ai], candidate, tgrid) for ai in range(A)]
     gap_seq = [gm.max_gap for gm in gms]
     set_ids, fids, gaps = zip(*(row for gm in gms for row in gm.rows))
     state.emit("gaps.csv", ["set_id", "functional_id", "alpha_index", "gap"],
@@ -356,21 +354,20 @@ def stage_girsanov(state: RunState):
     cfg = state.cfg
     res = ensure_ensemble(state)
     state.say("stage girsanov")
-    ens = res.density_ensemble(cfg.model, cfg.drift, cfg.master_seed)
 
     # one row per (alpha, path)
     A, P = len(cfg.alphas), cfg.n_paths
-    lr = np.asarray(ens.log_rho, dtype=float).reshape(-1)
-    tau = np.asarray(ens.tau, dtype=float)
+    lr = np.asarray(res.log_rho, dtype=float).reshape(-1)
+    tau = np.asarray(res.tau_half, dtype=float)
     state.emit("density.csv",
                ["path_id", "alpha", "zeta_T", "log_rho", "log_rho_tilde"]
                + [f"tau_{l}" for l in cfg.tau_levels],
                [np.tile(np.arange(P), A),
                 np.repeat(np.asarray(cfg.alphas, dtype=float), P), lr, lr,
-                np.asarray(ens.log_rho_tilde, dtype=float).reshape(-1),
+                np.asarray(res.log_rho_tilde, dtype=float).reshape(-1),
                 *(np.tile(tau[li], A) for li in range(len(cfg.tau_levels)))])
 
-    mart = [martingale_check(ens, ai) for ai in range(A)]
+    mart = [martingale_check(res, ai) for ai in range(A)]
     all_pass = all(r.passed for r in mart)
     worst = min([4.0] + [4.0 - abs(r.mean - 1.0) / r.stderr
                          for r in mart if r.stderr > 0])
@@ -380,7 +377,7 @@ def stage_girsanov(state: RunState):
     state.add(Check("girsanov.martingale", bool(all_pass), float(worst),
                     f"{len(cfg.alphas)} alphas"))
 
-    cells = [(lvl, a, stopped_moment_bound(ens, lvl, cfg.model, cfg.drift, ai))
+    cells = [(lvl, a, stopped_moment_bound(res, lvl, cfg.model, cfg.drift, ai))
              for ai, a in enumerate(cfg.alphas)
              for lvl in cfg.tau_levels if lvl != 0]
     stop = [r for _, _, r in cells]
@@ -393,7 +390,7 @@ def stage_girsanov(state: RunState):
     state.add(Check("girsanov.stopped_moment", all(r.passed for r in stop), 0.0,
                     f"{len(stop)} (level, alpha) cells"))
 
-    tt = tail_table(cfg.y_grid, ens.exit_counts(), cfg.n_paths,
+    tt = tail_table(cfg.y_grid, res.exit_counts(), cfg.n_paths,
                     cfg.tau_levels, cfg.drift.bound,
                     cfg.model.inv_sigma_norm, cfg.model.horizon)
     state.emit("p_table.csv", ["y", "n_of_y", "p", "p_rearranged", "p_upper"],
@@ -407,7 +404,7 @@ def stage_girsanov(state: RunState):
     state.tail_table = tt
 
     weight = ClosedFormWeight(cfg.psi_delta)
-    reports = [entropy_statistic(ens, weight, ai) for ai in range(A)]
+    reports = [entropy_statistic(res, weight, ai) for ai in range(A)]
     state.emit("entropy.csv",
                ["alpha", "route_reweighted", "stderr_reweighted",
                 "route_perturbed", "stderr_perturbed", "pass"],

@@ -54,16 +54,6 @@ class GalerkinModel:
         """Operator norm of the inverse noise operator, ``1 / min sigma_i``."""
         return float(1.0 / np.min(self.sigma_diag))
 
-    def describe(self) -> dict:
-        return {
-            "dim": self.dim,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "beta": self.beta,
-            "sigma_diag": [float(v) for v in self.sigma_diag],
-            "horizon": self.horizon,
-            "x0": [float(v) for v in self.x0],
-        }
-
 
 def validate_model(model: GalerkinModel) -> GalerkinModel:
     """Check all structural constraints; return the model unchanged if valid.

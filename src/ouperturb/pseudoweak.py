@@ -14,39 +14,25 @@ from dataclasses import dataclass
 import numpy as np
 
 
-@dataclass(frozen=True)
 class BallCompression:
-    """Radial compression of the state space, ``h -> h/|h| * psi0(|h|)``.
-
-    ``kind="saturating"`` uses ``psi0(r) = r/(1+|r|)`` (image = open unit
-    ball); ``kind="identity"`` leaves fields unchanged.
-    """
-
-    kind: str = "saturating"
-
-    @property
-    def sup(self) -> float:
-        return 1.0 if self.kind == "saturating" else np.inf
+    """Radial compression of the state space into the open unit ball,
+    ``h -> h/|h| * psi0(|h|)`` with ``psi0(r) = r/(1+|r|)``."""
 
     def scalar(self, r):
         r = np.asarray(r, dtype=float)
-        return r / (1.0 + np.abs(r)) if self.kind == "saturating" else r
+        return r / (1.0 + np.abs(r))
 
     def scalar_inv(self, s):
         s = np.asarray(s, dtype=float)
-        return s / (1.0 - np.abs(s)) if self.kind == "saturating" else s
+        return s / (1.0 - np.abs(s))
 
     def apply(self, h):
-        if self.kind == "identity":
-            return np.asarray(h, dtype=float).copy()
         h = np.asarray(h, dtype=float)
         r = np.linalg.norm(h, axis=-1)
         factor = np.divide(self.scalar(r), r, out=np.zeros_like(r), where=r > 0)
         return factor[..., None] * h
 
     def invert(self, h):
-        if self.kind == "identity":
-            return np.asarray(h, dtype=float).copy()
         h = np.asarray(h, dtype=float)
         r = np.linalg.norm(h, axis=-1)
         if np.any(r >= 1.0):
@@ -116,8 +102,8 @@ class GapMatrix:
     max_gap: float
 
 
-def weak_gap(field_a: np.ndarray, field_b: np.ndarray, grid: TestMeasureGrid,
-             compression: BallCompression | None = None) -> GapMatrix:
+def weak_gap(field_a: np.ndarray, field_b: np.ndarray,
+             grid: TestMeasureGrid) -> GapMatrix:
     """Quadrature gaps ``|int_A <psi(Fa) - psi(Fb), h> dmu|`` over the family.
 
     Fields have shape ``(n_paths, n_nodes, d)``; the measure is
@@ -127,7 +113,7 @@ def weak_gap(field_a: np.ndarray, field_b: np.ndarray, grid: TestMeasureGrid,
     einsum reduces each ``(path, coordinate)`` over nodes on its own, so the
     sums see the same values in the same order as a projection of the subset.
     """
-    comp = compression or BallCompression()
+    comp = BallCompression()
     ca = comp.apply(field_a)
     cb = comp.apply(field_b)
     diff = ca - cb                                       # (P, S, d)
@@ -160,29 +146,27 @@ def weak_gap(field_a: np.ndarray, field_b: np.ndarray, grid: TestMeasureGrid,
     return GapMatrix(rows, worst)
 
 
-def cesaro_limit(fields, compression: BallCompression | None = None):
+def cesaro_limit(fields):
     """Average the compressed fields and invert back into the state space.
 
     Entries whose compressed mean lands within 1e-9 of the unit sphere, or
     outside it, are clamped to radius ``1 - 1e-9`` (count reported).  Raises
     if every entry needed clamping, which signals divergence of the family.
     """
-    comp = compression or BallCompression()
+    comp = BallCompression()
     if len(fields) < 2:
         raise ValueError("cesaro limit needs at least two fields")
     mean = np.mean([comp.apply(f) for f in fields], axis=0)
-    clamped = 0
-    if np.isfinite(comp.sup):
-        r = np.linalg.norm(mean, axis=-1)
-        # entries this close to the sphere are numerically outside the
-        # inverse's sane range
-        bad = r >= comp.sup - 1e-9
-        clamped = int(np.sum(bad))
-        if clamped and clamped == r.size:
-            raise ValueError("all entries required clamping; family diverges")
-        if clamped:
-            factor = np.where(bad, (comp.sup - 1e-9) / np.where(bad, r, 1.0), 1.0)
-            mean = factor[..., None] * mean
+    r = np.linalg.norm(mean, axis=-1)
+    # entries this close to the sphere are numerically outside the inverse's
+    # sane range
+    bad = r >= 1.0 - 1e-9
+    clamped = int(np.sum(bad))
+    if clamped and clamped == r.size:
+        raise ValueError("all entries required clamping; family diverges")
+    if clamped:
+        factor = np.where(bad, (1.0 - 1e-9) / np.where(bad, r, 1.0), 1.0)
+        mean = factor[..., None] * mean
     return comp.invert(mean), clamped
 
 

@@ -87,12 +87,6 @@ class WeightFunction:
         with np.errstate(divide="ignore"):
             return np.log(u) + np.log(np.log1p(u))
 
-    def describe(self):
-        d = {"kind": self.kind}
-        if self.kind == "power":
-            d["p"] = self.p
-        return d
-
 
 def make_weight(kind: str, p: float | None = None) -> WeightFunction:
     return WeightFunction(kind, p if p is not None else 2.0)
@@ -210,11 +204,9 @@ def closed_form_constant(w: WeightFunction, c: float, beta: float, B: float):
 
 @dataclass
 class MomentBoundReport:
-    weight: str
     violations: int
     worst_margin: float
     overflow_nodes: int
-    n_nodes: int
 
     @property
     def passed(self):
@@ -247,7 +239,6 @@ def check_moment_bound_on_fields(fields, w0_fields, runmax_fields, snap_times,
         lhs = w.value(np.sum(np.asarray(fields) ** 2, axis=-1))
         margin = rhs * slack - lhs
     finite = np.isfinite(lhs) & np.isfinite(rhs)
-    return MomentBoundReport(w.kind, int(np.sum(~(margin >= 0))),
-                             float(np.min(margin)), int(np.sum(~finite)),
-                             int(margin.size))
+    return MomentBoundReport(int(np.sum(~(margin >= 0))), float(np.min(margin)),
+                             int(np.sum(~finite)))
 

@@ -426,24 +426,23 @@ def check_moment_bound(solution, model, drift, w: WeightFunction,
     # fails closed, as the engine: only a margin >= 0 holds, so a left side
     # that overflows (margin -inf or NaN) is a violation
     finite = np.isfinite(lhs) & np.isfinite(rhs)
-    return MomentBoundReport(w.kind, int(np.sum(~(margin >= 0))),
-                             float(np.min(margin)), int(np.sum(~finite)),
-                             times.size)
+    return MomentBoundReport(int(np.sum(~(margin >= 0))), float(np.min(margin)),
+                             int(np.sum(~finite)))
 
 
 # ---------------------------------------------------------------------------
 # weak-limit gaps
 
 
-def weak_gap(field_a: np.ndarray, field_b: np.ndarray, grid: TestMeasureGrid,
-             compression: BallCompression | None = None) -> GapMatrix:
+def weak_gap(field_a: np.ndarray, field_b: np.ndarray,
+             grid: TestMeasureGrid) -> GapMatrix:
     """Quadrature gaps ``|int_A <psi(Fa) - psi(Fb), h> dmu|`` over the family.
 
     Fields have shape ``(n_paths, n_nodes, d)``; the measure is
     ``dt x uniform(paths)``.  Clipped per-path scalar functionals are included
     alongside the bilinear ones.
     """
-    comp = compression or BallCompression()
+    comp = BallCompression()
     diff = comp.apply(field_a) - comp.apply(field_b)     # (P, S, d)
     P = diff.shape[0]
     rows = []

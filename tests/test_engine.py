@@ -54,9 +54,9 @@ def test_engine_matches_stored_ops(model4, grid, pair):
             sol = integrate_Z(model4, drift, a, p)
             assert np.allclose(sol.z[-1], res.z_final[ai, pid], atol=1e-13)
             assert zeta(p, drift, a, model4) == \
-                pytest.approx(res.log_rho()[ai, pid], rel=1e-11, abs=1e-13)
+                pytest.approx(res.log_rho[ai, pid], rel=1e-11, abs=1e-13)
             assert log_rho_tilde(sol, drift, a, model4) == \
-                pytest.approx(res.log_rho_tilde()[ai, pid], rel=1e-11, abs=1e-13)
+                pytest.approx(res.log_rho_tilde[ai, pid], rel=1e-11, abs=1e-13)
         sol = integrate_Z(model4, drift, TASKS.alphas[0], p)
         rec = stopping_time(sol, model4, drift, 2)
         assert rec.tau == res.tau_half[2, pid]
@@ -170,10 +170,10 @@ def test_engine_blocking_and_worker_invariance(model4, grid):
         # alpha = 0.03 alone reproduces row 1 of the (0.1, 0.03) run
         one = run_ensemble(model4, drift, grid, replace(TASKS, alphas=(0.03,)),
                            12, 99)
-        assert np.array_equal(one.log_rho()[0], base.log_rho()[1])
-        assert np.array_equal(one.log_rho_tilde()[0], base.log_rho_tilde()[1])
-        assert np.array_equal(one.stopped_log_rho()[:, 0],
-                              base.stopped_log_rho()[:, 1])
+        assert np.array_equal(one.log_rho[0], base.log_rho[1])
+        assert np.array_equal(one.log_rho_tilde[0], base.log_rho_tilde[1])
+        assert np.array_equal(one.stopped_log_rho[:, 0],
+                              base.stopped_log_rho[:, 1])
         assert np.array_equal(one.z_final[0], base.z_final[1])
         assert np.array_equal(one.field_x[0], base.field_x[1])
         assert np.array_equal(one.weight_margin[:, 0], base.weight_margin[:, 1])
@@ -278,7 +278,7 @@ def test_engine_girsanov_only_matches_stored_ops(model4, grid):
         p = sample_ou_path(model4, grid, 99, path_index=pid)
         for ai, a in enumerate(DENSITY_ALPHAS):
             assert zeta(p, SAT, a, model4) == \
-                pytest.approx(res.log_rho()[ai, pid], rel=1e-11, abs=1e-13)
+                pytest.approx(res.log_rho[ai, pid], rel=1e-11, abs=1e-13)
     for block_size, n_workers in ((5, 1), (4, 2)):
         other = run_ensemble(model4, SAT, grid, tasks, 12, 99,
                              block_size=block_size, n_workers=n_workers)
@@ -292,7 +292,7 @@ def test_engine_stopped_exponent_frozen_at_tau(model4, grid):
     p = sample_ou_path(model4, grid, 99, path_index=4)
     tau = res.tau_half[2, 4]
     expect = zeta(p, CUBIC, 0.1, model4, t_end=float(tau))
-    assert res.stopped_log_rho()[0, 0, 4] == pytest.approx(expect, rel=1e-11)
+    assert res.stopped_log_rho[0, 0, 4] == pytest.approx(expect, rel=1e-11)
 
 
 def test_engine_task_validation(model4, grid):

@@ -82,8 +82,19 @@ def _ensemble(model, drift, n_paths=4000, n_steps=1000, seed=60,
     grid = PathGrid(n_steps, 1.0)
     tasks = EnsembleTasks(alphas=alphas, integrate=True, girsanov=True,
                           tau_levels=levels, stop_zeta_levels=stops)
-    res = run_ensemble(model, drift, grid, tasks, n_paths, seed)
-    return res.density_ensemble(model, drift, seed)
+    return run_ensemble(model, drift, grid, tasks, n_paths, seed)
+
+
+def test_statistics_read_the_pass_result(model4):
+    # the statistics read the exponents as cached properties of the result,
+    # each computed once
+    res = run_ensemble(model4, SAT, PathGrid(100, 1.0),
+                       EnsembleTasks(alphas=(0.5, 0.1), girsanov=True), 30, 62)
+    assert res.density_ensemble(model4, SAT, 62) is res
+    lr = res.log_rho
+    assert res.log_rho is lr
+    assert np.array_equal(lr, res.zeta_mart - 0.5 * res.zeta_quad)
+    assert res.log_rho_tilde is None and res.stopped_log_rho is None
 
 
 def test_martingale_zero_drift_exact(model4):
@@ -118,8 +129,7 @@ def test_stopped_moment_bound_short_horizon():
     grid = PathGrid(200, 0.2)
     tasks = EnsembleTasks(alphas=(0.1,), integrate=True, girsanov=True,
                           tau_levels=(0, 1, 2, 3))
-    res = run_ensemble(m, SAT, grid, tasks, 4000, 61)
-    ens = res.density_ensemble(m, SAT, 61)
+    ens = run_ensemble(m, SAT, grid, tasks, 4000, 61)
     for lvl in (1, 2, 3):
         rep = stopped_moment_bound(ens, lvl, m, SAT)
         assert rep.bound == pytest.approx(np.exp(1.0), rel=1e-12)
@@ -130,7 +140,7 @@ def test_stopped_moment_zero_drift_equality(model4):
     ens = _ensemble(model4, ZERO, n_paths=500, n_steps=200, alphas=(0.5, 0.1))
     # pick a level the threshold never reaches; estimate and bound both one
     lvl = 6
-    assert np.all(ens.tau[list(ens.tau_levels).index(lvl)] == 1.0)
+    assert np.all(ens.tau_half[list(ens.tasks.tau_levels).index(lvl)] == 1.0)
     rep = stopped_moment_bound(ens, lvl, model4, ZERO)
     assert rep.estimate == 1.0 and rep.bound == 1.0 and rep.passed
 

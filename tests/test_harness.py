@@ -124,7 +124,23 @@ def test_cli_overrides_get_the_config_check(tmp_path, capsys):
     (("model", "horizon"), -1, "model: horizon must be positive"),
     (("grid", "n_steps"), -5, "grid.n_steps: must be >= 1"),
     (("girsanov", "psi", "delta"), 2.0, "girsanov.psi.delta: delta must lie in"),
-], ids=["dt0", "dt_nan", "horizon0", "horizon-1", "n_steps-5", "psi_delta2"])
+    # values of the wrong type
+    (("grid", "n_steps"), float("nan"), "grid.n_steps: cannot read nan as int"),
+    (("mc", "n_paths"), float("nan"), "mc.n_paths: cannot read nan as int"),
+    (("girsanov", "y_grid", "count"), float("nan"),
+     "girsanov.y_grid.count: cannot read nan as int"),
+    (("mc", "master_seed"), "abc", "mc.master_seed: cannot read 'abc' as int"),
+    (("model", "dim"), "x", "model.dim: cannot read 'x' as int"),
+    (("model", "beta"), "x", "model.beta: cannot read 'x' as float"),
+    (("sweep", "alpha_list"), ["a", 0.01],
+     "sweep.alpha_list: cannot read 'a' as float"),
+    (("girsanov", "tau_levels"), [0, float("inf")],
+     "girsanov.tau_levels: cannot read inf as int"),
+    (("phi", "kinds"), 5, "phi.kinds: cannot read 5 as list"),
+    (("phi", "kinds"), [5], "phi.kinds: 'int' object is not subscriptable"),
+], ids=["dt0", "dt_nan", "horizon0", "horizon-1", "n_steps-5", "psi_delta2",
+        "n_steps_nan", "n_paths_nan", "y_count_nan", "seed_str", "dim_str",
+        "beta_str", "alpha_str", "tau_inf", "kinds_int", "kinds_entry_int"])
 def test_config_rejects_values_that_failed_after_the_check(tmp_path, capsys, path,
                                                            value, message):
     # the config check itself rejects each value: exit 2, naming the key,
@@ -138,7 +154,9 @@ def test_config_rejects_values_that_failed_after_the_check(tmp_path, capsys, pat
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(raw))
     out = tmp_path / "out"
-    code = cli.main(["all", "--config", str(bad), "--paths", "8",
+    # --paths would replace the file's mc.n_paths before the check
+    paths = [] if path == ("mc", "n_paths") else ["--paths", "8"]
+    code = cli.main(["all", "--config", str(bad), *paths,
                      "--out", str(out), "--quiet"])
     err = capsys.readouterr().err
     assert code == 2 and "config error: " in err

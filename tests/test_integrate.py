@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ouperturb import (BallCompression, GalerkinModel, PathGrid, cesaro_limit,
-                       limsup_check, make_drift, sample_ou_paths, validate_model)
+from ouperturb import (GalerkinModel, PathGrid, cesaro_limit, limsup_check,
+                       make_drift, sample_ou_paths, validate_model)
 from ouperturb.config import parse_config
 from ouperturb.engine import EnsembleTasks, run_ensemble
 from oracle import (check_pathwise_bound, exp_decay_quadrature, integrate_Z,
@@ -212,7 +212,7 @@ def test_alpha_sweep_candidate_and_limsup(model4):
     tasks = EnsembleTasks(alphas=(1e-1, 3e-2, 1e-2), integrate=True,
                           n_field_paths=12, field_stride=16, track_gaps=True)
     res = run_ensemble(model4, SAT, PathGrid(800, 1.0), tasks, 12, 16)
-    candidate, clamps = cesaro_limit(list(res.field_x[-2:]), BallCompression())
+    candidate, clamps = cesaro_limit(list(res.field_x[-2:]))
     assert clamps == 0
     rep = limsup_check(list(res.field_x), candidate)
     assert rep.violations == 0
