@@ -62,6 +62,11 @@ def _read(key: str, value, kind):
                           f"{kind.__name__}") from None
 
 
+def _floats(key: str, value) -> list:
+    """A list of floats, read entry by entry by :func:`_read`."""
+    return [_read(key, v, float) for v in _read(key, value, list)]
+
+
 def _require(cond, errors, msg):
     if not cond:
         errors.append(msg)
@@ -73,18 +78,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
     dim = _read("model.dim", mb.get("dim", 4), int)
     beta = _read("model.beta", mb.get("beta", 1.0), float)
     eig = mb.get("eigenvalues", "auto")
-    if eig == "auto":
-        eig = _auto_eigenvalues(dim, beta)
+    eig = _auto_eigenvalues(dim, beta) if eig == "auto" \
+        else _floats("model.eigenvalues", eig)
     sig = mb.get("sigma_diag", 1.0)
     if isinstance(sig, (int, float)):
         sig = [float(sig)] * dim
-    elif np.size(sig) != np.size(eig):
-        errors.append(f"model.sigma_diag: length {np.size(sig)}, expected one "
-                      f"entry per mode ({np.size(eig)})")
+    elif len(sig := _floats("model.sigma_diag", sig)) != len(eig):
+        errors.append(f"model.sigma_diag: length {len(sig)}, expected one "
+                      f"entry per mode ({len(eig)})")
         sig = 1.0
     x0 = mb.get("x0", 0.0)
-    if isinstance(x0, (int, float)):
-        x0 = [float(x0)] * dim
+    x0 = [float(x0)] * dim if isinstance(x0, (int, float)) \
+        else _floats("model.x0", x0)
     horizon = _read("model.horizon", mb.get("horizon", 1.0), float)
     model = GalerkinModel(eigenvalues=eig, beta=beta, sigma_diag=sig,
                           horizon=horizon, x0=x0)
@@ -110,9 +115,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     grid = PathGrid(n_steps, horizon) if n_steps >= 1 and horizon > 0 else None
 
     db = raw.get("drift", {"kind": "radial"})
+    params = _read("drift.params", db.get("params", {}), dict)
     try:
-        drift = make_drift(db.get("kind", "radial"), dim=dim,
-                           **db.get("params", {}))
+        drift = make_drift(db.get("kind", "radial"), dim=dim, **params)
     except (ValueError, KeyError) as exc:
         errors.append(f"drift: {exc}")
         drift = make_drift("zero")
@@ -122,8 +127,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             f"drift.bound: declared {bound_echo!r} but catalog derives "
             f"{drift.bound_name()!r}")
 
-    alphas = tuple(_read("sweep.alpha_list", a, float) for a in raw.get(
-        "sweep", {}).get("alpha_list", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]))
+    alphas = tuple(_floats("sweep.alpha_list", raw.get("sweep", {}).get(
+        "alpha_list", [1e-1, 3e-2, 1e-2, 3e-3, 1e-3])))
     _require(len(alphas) >= 2, errors, "sweep.alpha_list: need >= 2 entries")
     _require(all(a > 0 for a in alphas), errors, "sweep.alpha_list: must be positive")
     _require(all(a1 > a2 for a1, a2 in zip(alphas, alphas[1:])), errors,
@@ -150,8 +155,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
             errors.append(f"phi.kinds: {exc}")
 
     gk = raw.get("girsanov", {})
-    tau_levels = tuple(_read("girsanov.tau_levels", v, int)
-                       for v in gk.get("tau_levels", list(range(0, 9))))
+    tau_levels = tuple(_read("girsanov.tau_levels", v, int) for v in _read(
+        "girsanov.tau_levels", gk.get("tau_levels", list(range(0, 9))), list))
     if list(tau_levels) != list(range(len(tau_levels))):
         errors.append("girsanov.tau_levels: need the contiguous ladder 0..max")
     yb = gk.get("y_grid", {"start": 1.5, "stop": 1e9, "count": 40})
@@ -161,7 +166,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             _read("girsanov.y_grid.stop", yb.get("stop", 1e9), float),
             _read("girsanov.y_grid.count", yb.get("count", 40), int))
     else:
-        y_grid = np.asarray([_read("girsanov.y_grid", v, float) for v in yb])
+        y_grid = np.asarray(_floats("girsanov.y_grid", yb))
     y_min = admissible_y_start(drift.bound, model.inv_sigma_norm, horizon)
     if y_grid.size and y_grid[0] <= y_min:
         errors.append(

@@ -23,7 +23,7 @@ The regularized states of all alphas form one ``(A, B, d)`` array (alphas,
 paths of the block, modes), and the Girsanov sums and the in-pass diagnostics
 act on the alpha axis at once.  All three roles of a step are known when it
 begins: the source path ``w`` and the perturbed path ``X`` at ``t_k``, and
-the implicit step's ``y = flow * z + w0_{k+1}`` at ``t_{k+1}``.  An
+the implicit step's ``y = decay * z + w0_{k+1}`` at ``t_{k+1}``.  An
 integrate pass writes them into one preallocated ``(3, A, B, d)`` stack
 (``w`` broadcast over the alphas) and makes one ``resolvent_warm`` call per
 step, with a ``(3, 1, 1)`` time column, one time per role, and alpha as
@@ -85,9 +85,9 @@ from functools import cached_property
 import numpy as np
 
 from .drifts import Drift, ZeroDrift, colsum, norm
-from .model import GalerkinModel
-from .ou import PathGrid, path_rng, step_constants
-from .weights import SLACK_MULT
+from .model import GalerkinModel, semigroup_apply
+from .ou import PathGrid, ou_step, path_rng, step_constants
+from .weights import SLACK_MULT, moment_rhs
 
 BLOCK_SIZE = 1024
 CHUNK_STEPS = 32     # nodes per noise draw and per diagnostics flush
@@ -199,8 +199,7 @@ class EnsembleResult:
         return np.sum(self.tau_half < self.grid.horizon - 1e-15, axis=1).astype(int)
 
     def final_w(self, model: GalerkinModel) -> np.ndarray:
-        decay = np.exp(model.eigenvalues * self.grid.horizon)
-        return self.final_w0 + decay * model.x0
+        return self.final_w0 + semigroup_apply(model, self.grid.horizon, model.x0)
 
     def density_ensemble(self, model: GalerkinModel, drift: Drift,
                          master_seed: int) -> EnsembleResult:
@@ -255,7 +254,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     B, N, d = len(ids), grid.n_steps, model.dim
     dt = grid.dt
     times = grid.times
-    decay, g1, g2 = step_constants(model, dt)
+    decay, a1, a2 = step_constants(model, dt)
     sq = np.sqrt(dt)
     beta = model.beta
     e_bdt = np.exp(-beta * dt)
@@ -265,16 +264,13 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     integrate = tasks.integrate
     girsanov = tasks.girsanov
     sig = model.sigma_diag
-    flow = np.exp(model.eigenvalues * dt)
-    mean_path = np.exp(np.outer(times, model.eigenvalues)) * model.x0
+    mean_path = semigroup_apply(model, times, model.x0)
     mean_norm = norm(mean_path)
-    xn = float(np.linalg.norm(model.x0))
+    xn = float(norm(model.x0))
     ebt = np.exp(-beta * times)
     slack = 1.0 + SLACK_MULT * dt
     weights = tasks.weights
     Wn = len(weights)
-    with np.errstate(over="ignore"):
-        head = [0.5 * ebt * float(w.value(4.0 * xn * xn)) for w in weights]
 
     levels = tasks.tau_levels
     L = len(levels)
@@ -408,19 +404,17 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         cert["full_raw"] += np.count_nonzero(act_f & above, axis=0)
 
     def weight_check(wi, s, t, n2, ab2, x2):
-        """Stated (2x) and derived (4x) weighted moment bounds.
+        """Stated (``k = 2``) and derived (``k = 4``) weighted moment bounds,
+        with the right side of :func:`weights.moment_rhs`.
 
-        As in :func:`weights.check_moment_bound_on_fields`: an overflowing
-        left side gives a ``-inf`` or NaN margin, a violation; an overflowing
-        right side alone holds.  Nodes with either side non-finite are
-        counted as overflow.
+        An overflowing left side gives a ``-inf`` or NaN margin, a violation;
+        an overflowing right side alone holds.  Nodes with either side
+        non-finite are counted as overflow.
         """
         wf = weights[wi]
-        hd = head[wi][s:s + len(t), None]
-        bt = (0.5 * beta * t)[:, None]
+        rhs, rhs4 = (moment_rhs(wf, beta, t[:, None], xn, n2, ab2, k)
+                     for k in (2.0, 4.0))
         with np.errstate(over="ignore"):
-            rhs = hd + 0.5 * wf.value(2.0 * n2) + bt * wf.value(2.0 * ab2)
-            rhs4 = hd + 0.5 * wf.value(4.0 * n2) + bt * wf.value(4.0 * ab2)
             lhs = wf.value(x2)
         lhs_ok = np.isfinite(lhs)
         margin = (rhs * slack)[:, None] - lhs
@@ -512,9 +506,9 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             xi = noise[:, j].transpose(1, 2, 0).copy()
             xi1 = xi[0].T
             dWk = sq * xi1
-            w0_next = decay * w0 + g1 * xi1 + g2 * xi[1].T
+            w0_next = ou_step(decay, a1, a2, w0, xi1, xi[1].T)
             if integrate:
-                zp = flow * z
+                zp = decay * z
                 np.add(zp, w0_next, out=stack[2])
                 if girsanov:
                     stack[0] = w_cur

@@ -97,8 +97,9 @@ class TwoRouteReport:
 
     @property
     def passed(self) -> bool:
-        return abs(self.route_source - self.route_perturbed) <= \
-            4.0 * self.combined_stderr + 1e-12
+        # fails closed: a path left out of a route's mean fails the report
+        return self.overflow == 0 and abs(self.route_source - self.route_perturbed) \
+            <= 4.0 * self.combined_stderr + 1e-12
 
 
 def entropy_statistic(res: EnsembleResult, weight,
@@ -108,10 +109,11 @@ def entropy_statistic(res: EnsembleResult, weight,
     Route one reweights by the density on the unperturbed ensemble; route two
     evaluates the weight of the transformed density on the perturbed
     trajectories of the same seed family.  Agreement within combined Monte
-    Carlo error is the change-of-measure identity at work.
+    Carlo error is the change-of-measure identity at work.  A non-finite
+    value is left out of its route's mean and counted in ``overflow``.
     """
     lr = res.log_rho[alpha_index]
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         r1 = np.exp(lr) * np.asarray(weight.value_from_log(lr))
         r2 = np.asarray(weight.value_from_log(res.log_rho_tilde[alpha_index]))
     overflow = int(np.sum(~np.isfinite(r1)) + np.sum(~np.isfinite(r2)))

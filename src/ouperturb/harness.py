@@ -19,6 +19,7 @@ import numpy as np
 from . import __version__
 from ._util import sha256_file, write_csv, write_json
 from .config import ExperimentConfig
+from .drifts import norm
 from .engine import EnsembleTasks, run_ensemble
 from .girsanov import (entropy_stability, entropy_statistic, martingale_check,
                        stopped_moment_bound)
@@ -245,9 +246,8 @@ def stage_sweep(state: RunState):
     lr = limsup_check(list(res.field_x), candidate)
     state.add(Check("pseudoweak.limsup", lr.passed, -lr.worst_excess,
                     f"{lr.violations} violations on {lr.n_points} points"))
-    dist = float(np.max(np.linalg.norm(candidate - res.field_x[-1], axis=-1)))
-    finest = float(np.max(np.linalg.norm(res.field_x[-2] - res.field_x[-1],
-                                         axis=-1)))
+    dist = float(np.max(norm(candidate - res.field_x[-1])))
+    finest = float(np.max(norm(res.field_x[-2] - res.field_x[-1])))
     state.add(Check("pseudoweak.candidate_near_finest",
                     dist <= 2.0 * finest + 1e-12, 2.0 * finest - dist,
                     f"dist={dist:.3g} finest_gap={finest:.3g} clamps={clamps}"))

@@ -4,6 +4,10 @@ Transitions are exact in distribution per mode.  Each step draws the raw
 Wiener increment and the stochastic-convolution increment *jointly* from
 their closed-form 2x2 Gaussian covariance, so the stored Wiener increments
 are consistent with the states for later change-of-measure integrals.
+
+The streaming pass and :func:`sample_ou_block` take the one step
+:func:`ou_step` on the same per-path noise, so a sampled path (the
+``paths.csv`` dump) is the pass's path bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .drifts import norm
 from .model import GalerkinModel, semigroup_apply
 
 
@@ -55,6 +60,12 @@ def step_constants(model: GalerkinModel, dt: float):
     return decay, a1, a2
 
 
+def ou_step(decay, a1, a2, w0, xi1, xi2):
+    """One exact step ``(decay * w0 + a1 * xi1) + a2 * xi2`` of the centered
+    path, with the constants of :func:`step_constants`."""
+    return decay * w0 + a1 * xi1 + a2 * xi2
+
+
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
     """Deterministic per-path generator.
 
@@ -91,7 +102,7 @@ class SamplePath:
 
     @cached_property
     def running_max(self) -> np.ndarray:
-        return np.maximum.accumulate(np.linalg.norm(self.w, axis=1))
+        return np.maximum.accumulate(norm(self.w))
 
 
 def sample_ou_block(model: GalerkinModel, grid: PathGrid, master_seed: int,
@@ -99,23 +110,20 @@ def sample_ou_block(model: GalerkinModel, grid: PathGrid, master_seed: int,
     """Sample a block of centered paths; returns ``(w0, dW)``.
 
     Shapes ``(B, N+1, d)`` and ``(B, N, d)``.  Noise is drawn per path from
-    :func:`path_rng`, so the result does not depend on how paths are blocked.
+    :func:`path_rng`, so the result does not depend on how paths are blocked,
+    and stepped by :func:`ou_step`, so each path is the streaming pass's path
+    of the same seed and index, bit for bit.
     """
     indices = list(indices)
     B, N, d = len(indices), grid.n_steps, model.dim
-    dt = grid.dt
-    decay, a1, a2 = step_constants(model, dt)
-    sq = np.sqrt(dt)
-    dW = np.empty((B, N, d))
-    conv = np.empty((B, N, d))
+    decay, a1, a2 = step_constants(model, grid.dt)
+    xi = np.empty((B, N, 2, d))
     for b, idx in enumerate(indices):
-        xi = path_rng(master_seed, idx).standard_normal((N, 2, d))
-        dW[b] = sq * xi[:, 0, :]
-        conv[b] = a1 * xi[:, 0, :] + a2 * xi[:, 1, :]
+        path_rng(master_seed, idx).standard_normal(out=xi[b])
     w0 = np.zeros((B, N + 1, d))
     for k in range(N):
-        w0[:, k + 1] = decay * w0[:, k] + conv[:, k]
-    return w0, dW
+        w0[:, k + 1] = ou_step(decay, a1, a2, w0[:, k], xi[:, k, 0], xi[:, k, 1])
+    return w0, np.sqrt(grid.dt) * xi[:, :, 0]
 
 
 def sample_ou_paths(model: GalerkinModel, grid: PathGrid, n_paths: int,

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drifts import norm
+
 
 class BallCompression:
     """Radial compression of the state space into the open unit ball,
@@ -28,13 +30,13 @@ class BallCompression:
 
     def apply(self, h):
         h = np.asarray(h, dtype=float)
-        r = np.linalg.norm(h, axis=-1)
+        r = norm(h)
         factor = np.divide(self.scalar(r), r, out=np.zeros_like(r), where=r > 0)
         return factor[..., None] * h
 
     def invert(self, h):
         h = np.asarray(h, dtype=float)
-        r = np.linalg.norm(h, axis=-1)
+        r = norm(h)
         if np.any(r >= 1.0):
             raise ValueError("inverse compression defined only inside the unit ball")
         factor = np.divide(self.scalar_inv(r), r, out=np.zeros_like(r), where=r > 0)
@@ -157,7 +159,7 @@ def cesaro_limit(fields):
     if len(fields) < 2:
         raise ValueError("cesaro limit needs at least two fields")
     mean = np.mean([comp.apply(f) for f in fields], axis=0)
-    r = np.linalg.norm(mean, axis=-1)
+    r = norm(mean)
     # entries this close to the sphere are numerically outside the inverse's
     # sane range
     bad = r >= 1.0 - 1e-9
@@ -184,7 +186,7 @@ class LimsupReport:
 def limsup_check(fields, candidate) -> LimsupReport:
     """Pointwise ``|candidate| <= max_n |field_n| + 1e-9`` over the supplied
     tail."""
-    norms = np.max([np.linalg.norm(f, axis=-1) for f in fields], axis=0)
-    cn = np.linalg.norm(candidate, axis=-1)
+    norms = np.max([norm(f) for f in fields], axis=0)
+    cn = norm(candidate)
     excess = cn - norms - 1e-9
     return LimsupReport(int(np.sum(excess > 0)), float(np.max(excess)), cn.size)

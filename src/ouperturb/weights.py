@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .drifts import norm
+
 SLACK_MULT = 10.0    # node-wise bounds allow their right side times 1 + SLACK_MULT*dt
 
 
@@ -64,28 +66,6 @@ class WeightFunction:
             with np.errstate(over="ignore"):
                 return np.exp(u)
         return np.log1p(u) + u / (1.0 + u)
-
-    def second(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.kind == "power":
-            if self.p == 1:
-                return np.zeros_like(u)
-            return self.p * (self.p - 1.0) * np.power(u, self.p - 2.0)
-        if self.kind == "exponential":
-            with np.errstate(over="ignore"):
-                return np.exp(u)
-        return (u + 2.0) / (1.0 + u) ** 2
-
-    def log_value(self, u):
-        """log of the weight, safe for arguments where the value overflows."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "power":
-            with np.errstate(divide="ignore"):
-                return self.p * np.log(u)
-        if self.kind == "exponential":
-            return u.copy()
-        with np.errstate(divide="ignore"):
-            return np.log(u) + np.log(np.log1p(u))
 
 
 def make_weight(kind: str, p: float | None = None) -> WeightFunction:
@@ -213,6 +193,16 @@ class MomentBoundReport:
         return self.violations == 0
 
 
+def moment_rhs(w: WeightFunction, beta: float, t, xn: float, n2, ab2,
+               k: float):
+    """Weighted moment right side ``e^{-beta t} w(4 xn^2)/2 + w(k n2)/2 +
+    beta t w(k ab2)/2``, ``n2 = |w0|^2``, ``ab2 = a(rm)^2/beta^2``; ``k = 2``
+    is the stated form, ``k = 4`` the derived one."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        head = 0.5 * np.exp(-beta * t) * w.value(4.0 * xn * xn)
+        return head + 0.5 * w.value(k * n2) + 0.5 * beta * t * w.value(k * ab2)
+
+
 def check_moment_bound_on_fields(fields, w0_fields, runmax_fields, snap_times,
                                  x_start, w: WeightFunction, beta: float,
                                  bound_fn, dt: float,
@@ -221,6 +211,7 @@ def check_moment_bound_on_fields(fields, w0_fields, runmax_fields, snap_times,
 
     Used for weak-limit candidates, where only ``(paths, nodes, d)`` field
     arrays exist; running maxima are supplied from the full-resolution pass.
+    The right side is :func:`moment_rhs`, as in the pass.
 
     Fails closed: a node holds only when its margin is ``>= 0``.  A NaN margin
     (a NaN field, or both sides overflowing) is a violation and makes the
@@ -229,16 +220,13 @@ def check_moment_bound_on_fields(fields, w0_fields, runmax_fields, snap_times,
     holds.  Nodes with either side non-finite are counted as overflow.
     """
     slack = 1.0 + SLACK_MULT * dt
-    xn2 = float(np.sum(np.asarray(x_start, dtype=float) ** 2))
-    n0 = np.linalg.norm(w0_fields, axis=-1)
+    xn = float(norm(np.asarray(x_start, dtype=float)))
     a_rm = np.asarray(bound_fn(runmax_fields), dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        head = 0.5 * np.exp(-beta * snap_times) * w.value(4.0 * xn2)
-        rhs = head + 0.5 * w.value(k_scale * n0**2) \
-            + 0.5 * beta * snap_times * w.value(k_scale * a_rm**2 / beta**2)
+        rhs = moment_rhs(w, beta, snap_times, xn, norm(w0_fields) ** 2,
+                         a_rm**2 / beta**2, k_scale)
         lhs = w.value(np.sum(np.asarray(fields) ** 2, axis=-1))
         margin = rhs * slack - lhs
     finite = np.isfinite(lhs) & np.isfinite(rhs)
     return MomentBoundReport(int(np.sum(~(margin >= 0))), float(np.min(margin)),
                              int(np.sum(~finite)))
-

@@ -12,7 +12,8 @@ from ouperturb import cli, harness
 from ouperturb._util import CSV_BLOCK_ROWS, fmt, sha256_file, write_csv
 from ouperturb.config import ConfigError, load_config, parse_config
 from ouperturb.harness import (ensure_ensemble, make_state, run_stages,
-                               stage_phi, stage_sweep)
+                               stage_girsanov, stage_phi, stage_sweep)
+from ouperturb.ou import sample_ou_paths
 
 ROOT = Path(__file__).resolve().parents[1]
 SMOKE = ROOT / "configs" / "smoke.json"
@@ -138,9 +139,20 @@ def test_cli_overrides_get_the_config_check(tmp_path, capsys):
      "girsanov.tau_levels: cannot read inf as int"),
     (("phi", "kinds"), 5, "phi.kinds: cannot read 5 as list"),
     (("phi", "kinds"), [5], "phi.kinds: 'int' object is not subscriptable"),
+    # a number or a string where a list or a mapping is due
+    (("sweep", "alpha_list"), 5, "sweep.alpha_list: cannot read 5 as list"),
+    (("girsanov", "tau_levels"), 5, "girsanov.tau_levels: cannot read 5 as list"),
+    (("girsanov", "y_grid"), 5, "girsanov.y_grid: cannot read 5 as list"),
+    (("drift", "params"), 5, "drift.params: cannot read 5 as dict"),
+    (("model", "x0"), "x", "model.x0: cannot read 'x' as float"),
+    (("model", "sigma_diag"), ["a", 1, 1, 1],
+     "model.sigma_diag: cannot read 'a' as float"),
+    (("model", "eigenvalues"), "x", "model.eigenvalues: cannot read 'x' as float"),
 ], ids=["dt0", "dt_nan", "horizon0", "horizon-1", "n_steps-5", "psi_delta2",
         "n_steps_nan", "n_paths_nan", "y_count_nan", "seed_str", "dim_str",
-        "beta_str", "alpha_str", "tau_inf", "kinds_int", "kinds_entry_int"])
+        "beta_str", "alpha_str", "tau_inf", "kinds_int", "kinds_entry_int",
+        "alphas_int", "tau_levels_int", "y_grid_int", "params_int", "x0_str",
+        "sigma_entry_str", "eigenvalues_str"])
 def test_config_rejects_values_that_failed_after_the_check(tmp_path, capsys, path,
                                                            value, message):
     # the config check itself rejects each value: exit 2, naming the key,
@@ -453,6 +465,32 @@ def test_nan_margin_fails_bound_gates(cached_state):
     assert not checks["phi.bound_candidate_derived_power"].passed
     assert np.isnan(checks["phi.bound_candidate_derived_power"].margin)
     assert "1 violations" in checks["phi.bound_candidate_derived_power"].detail
+
+
+def test_overflow_fails_entropy_two_route(cached_state):
+    # a non-finite path is dropped from its route's mean; the remaining
+    # paths may still agree, so the dropped path itself must fail the row
+    res = cached_state.result
+    clean = run_stage(cached_state, stage_girsanov, res)
+    assert clean["girsanov.entropy_two_route"].passed
+    doctored = replace(res, rt_mart=with_nan(res.rt_mart))
+    assert np.count_nonzero(~np.isfinite(doctored.log_rho_tilde)) == 1
+    checks = run_stage(cached_state, stage_girsanov, doctored)
+    assert not checks["girsanov.entropy_two_route"].passed
+    rows = (cached_state.out / "entropy.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[-1] for r in rows] == ["0"] + ["1"] * (len(rows) - 1)
+
+
+def test_dumped_paths_are_the_pass_paths(tmp_path):
+    # paths.csv samples its paths apart from the pass; both take the step
+    # of ou.ou_step on the same per-path noise, so they agree bit for bit
+    cfg = load_config(SMOKE)
+    res = ensure_ensemble(make_state(cfg, out=tmp_path, n_workers=1, quiet=True))
+    stride = res.tasks.field_stride
+    paths = sample_ou_paths(cfg.model, cfg.grid, 4, cfg.master_seed)
+    for i, p in enumerate(paths):
+        assert np.array_equal(p.w0[-1], res.final_w0[i]), i
+        assert np.array_equal(p.w0[::stride], res.field_w0[i]), i
 
 
 def test_every_csv_goes_through_traced_writer(cached_state, monkeypatch, tmp_path):

@@ -39,6 +39,50 @@ def test_no_unused_imports_in_package():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+# the src/ calls of np.linalg.norm that stay, as (module, enclosing function)
+# -> the reason; every other Euclidean norm is drifts.norm, which sums the
+# squares in the fixed order of the stepping loop (np.linalg.norm of a 1-D
+# vector goes through a BLAS dot, and its sums over 8 or more modes pair terms)
+LINALG_NORM_ALLOWED = {}
+
+
+def linalg_norm_calls(source: str) -> list:
+    """``(enclosing function, line)`` of each ``linalg.norm`` call and each
+    import from ``numpy.linalg``, in source order."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call)
+                    and ast.unparse(child.func).endswith("linalg.norm")) or (
+                    isinstance(child, ast.ImportFrom)
+                    and (child.module or "").startswith("numpy.linalg")):
+                found.append((where, child.lineno))
+            visit(child, where)
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_linalg_norm_calls_detected():
+    src = ("import numpy as np\nfrom numpy.linalg import norm\n"
+           "r = np.linalg.norm(x)\ndef f(x):\n    return np.linalg.norm(x, axis=-1)\n")
+    assert linalg_norm_calls(src) == [("<module>", 2), ("<module>", 3), ("f", 5)]
+
+
+def test_linalg_norm_only_at_allowed_sites():
+    found = [(path.stem, where, line) for path in sorted(PACKAGE.glob("*.py"))
+             for where, line in linalg_norm_calls(path.read_text())]
+    extra = [f"{m}.py:{line} in {w}" for m, w, line in found
+             if (m, w) not in LINALG_NORM_ALLOWED]
+    assert not extra, "np.linalg.norm outside the allowlist (use drifts.norm):\n" \
+        + "\n".join(extra)
+    assert set(LINALG_NORM_ALLOWED) <= {(m, w) for m, w, _ in found}, \
+        "stale allowlist entries"
+
+
 def test_traced_names_exist():
     # perfbench/tracer.py replaces these names where their callers look them
     # up; a rename or a dropped import would silently untime a layer
