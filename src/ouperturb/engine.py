@@ -8,7 +8,7 @@ bit-identical for any block size and any worker count.
 Blocks.  :func:`split_paths` gives each block an equal share of the checked
 paths and of the others.  A block's ids ascend, so its checked and field
 paths are its leading rows; :func:`run_ensemble` joins each block result in
-path-id order by its rule in ``_JOIN``.
+path-id order by the rule that its :class:`EnsembleResult` field declares.
 
 Mode-major state.  The path state is stored with the mode axis slowest in
 memory: ``w0`` is a ``(B, d)`` view of a ``(d, B)`` array, and likewise the
@@ -33,10 +33,11 @@ the ``y`` row is resolved.  A Girsanov-only pass resolves ``w`` alone, as a
 keeps its old name because ``perfbench/tracer.py`` patches it by name.  It
 returns the Yosida regularization factored as ``coef[..., None] * base``,
 and each role reads its row: the Girsanov sums add
-``coef * colsum((base/sig) * dW)`` and ``coef**2 * colsum((base/sig)**2) * dt``,
-and the implicit step adds ``dt * coef`` times ``base``.  For the radial
-drifts ``base`` is the stack itself, so the ``w`` sums run on the unbroadcast
-``(B, d)`` state, once for all alphas; other kinds return ``coef = 1`` and the
+``coef * colsum((base/sig) * dW)`` and ``coef**2 * colsum((base/sig)**2) * dt``
+to the rows of ``zeta`` (``w``) or ``zeta_tilde`` (``X``), and the implicit
+step adds ``dt * coef`` times ``base``.  For the radial drifts ``base`` is
+the stack itself, so the ``w`` sums run on the unbroadcast ``(B, d)`` state,
+once for all alphas; other kinds return ``coef = 1`` and the
 full regularization as ``base``, and the ``w`` sums read its ``w`` row.  Sums
 over the mode axis go through :func:`drifts.colsum` in a fixed order.  The
 radial resolvents solve their norm equation in closed form for growth power 2
@@ -79,7 +80,7 @@ generator, and every envelope decays at the model's ``beta``.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -87,7 +88,7 @@ import numpy as np
 from .drifts import Drift, ZeroDrift, colsum, norm
 from .model import GalerkinModel, semigroup_apply
 from .ou import PathGrid, ou_step, path_rng, step_constants
-from .weights import SLACK_MULT, moment_rhs
+from .weights import MOMENT_FORMS, SLACK_MULT, moment_rhs
 
 BLOCK_SIZE = 1024
 CHUNK_STEPS = 32     # nodes per noise draw and per diagnostics flush
@@ -136,40 +137,53 @@ class EnsembleTasks:
                                  "tracked tau levels")
 
 
+def _out(axis: int, paths: str):
+    """A pass output, joined along ``axis`` in the order of the paths it holds
+    (``"every"``, ``"checked"`` or ``"fields"``; a dict key by key), or
+    summed over the blocks (``"sum"``)."""
+    return field(default=None, metadata={"join": (axis, paths)})
+
+
 @dataclass(eq=False)
 class EnsembleResult:
+    """The joined outputs of one pass, ``None`` (a dict ``{}``) where no task
+    asked for them.  Shapes, for ``P`` paths (the first ``c`` checked, the
+    first ``f`` with fields), ``A`` alphas, ``L`` tau levels (``Ls`` stopping
+    the exponents, ``Lc`` certified), ``W`` weights and ``d`` modes: the
+    exponent sums ``zeta`` (along ``w``) and ``zeta_tilde`` (along ``X``)
+    ``(2, A, P)``, rows martingale and quadratic, ``zeta_stopped``
+    ``(Ls, 2, A, P)``; ``tau_*`` ``(L, P)``; the bound dicts ``(A, c)`` and
+    ``cert_viol`` ``(Lc, A, c)``; the weight checks ``(2, W, A, c)`` (their
+    overflow ``(2, W)``) in the forms of :data:`weights.MOMENT_FORMS`, and
+    the stated form's worst node ``(W, A, c)``; ``field_x`` ``(A, f, S, d)``.
+    """
+
     n_paths: int
     alphas: tuple
     grid: PathGrid
     tasks: EnsembleTasks
-    final_w0: np.ndarray
-    w0_max: np.ndarray
-    zeta_mart: np.ndarray | None = None
-    zeta_quad: np.ndarray | None = None
-    rt_mart: np.ndarray | None = None
-    rt_quad: np.ndarray | None = None
-    tau_half: np.ndarray | None = None
-    tau_full: np.ndarray | None = None
-    stopped_mart: np.ndarray | None = None
-    stopped_quad: np.ndarray | None = None
-    bound_viol: dict = field(default_factory=dict)
-    bound_margin: dict = field(default_factory=dict)
-    cert_viol: dict = field(default_factory=dict)
-    weight_viol: np.ndarray | None = None
-    weight_margin: np.ndarray | None = None
-    weight_overflow: np.ndarray | None = None
-    weight_node: np.ndarray | None = None
-    weight_lhs: np.ndarray | None = None
-    weight_rhs: np.ndarray | None = None
-    weight_viol_derived: np.ndarray | None = None
-    weight_margin_derived: np.ndarray | None = None
-    weight_overflow_derived: np.ndarray | None = None
-    sup_gaps: np.ndarray | None = None
-    field_x: np.ndarray | None = None
-    field_w0: np.ndarray | None = None
-    field_runmax: np.ndarray | None = None
-    p0_counts: np.ndarray | None = None
-    z_final: np.ndarray | None = None
+    final_w0: np.ndarray = _out(0, "every")
+    w0_max: np.ndarray = _out(0, "every")
+    zeta: np.ndarray | None = _out(2, "every")
+    zeta_tilde: np.ndarray | None = _out(2, "every")
+    zeta_stopped: np.ndarray | None = _out(3, "every")
+    tau_half: np.ndarray | None = _out(1, "every")
+    tau_full: np.ndarray | None = _out(1, "every")
+    bound_viol: dict = _out(1, "checked")
+    bound_margin: dict = _out(1, "checked")
+    cert_viol: dict = _out(2, "checked")
+    weight_viol: np.ndarray | None = _out(3, "checked")
+    weight_margin: np.ndarray | None = _out(3, "checked")
+    weight_overflow: np.ndarray | None = _out(0, "sum")
+    weight_node: np.ndarray | None = _out(2, "checked")
+    weight_lhs: np.ndarray | None = _out(2, "checked")
+    weight_rhs: np.ndarray | None = _out(2, "checked")
+    sup_gaps: np.ndarray | None = _out(1, "every")
+    field_x: np.ndarray | None = _out(1, "fields")
+    field_w0: np.ndarray | None = _out(0, "fields")
+    field_runmax: np.ndarray | None = _out(0, "fields")
+    p0_counts: np.ndarray | None = _out(0, "sum")
+    z_final: np.ndarray | None = _out(1, "every")
     blocks: tuple = ()      # (paths, checked paths) of each block, in order
 
     @property
@@ -178,21 +192,20 @@ class EnsembleResult:
         stride = self.tasks.field_stride if self.tasks.n_field_paths else 0
         return self.grid.times[::stride] if stride else None
 
-    # the change-of-measure exponents, (A, P) along the unperturbed and the
-    # perturbed paths and (Ls, A, P) frozen at tau_half; None where the pass
-    # ran no such sums
+    # the change-of-measure exponents: (A, P), (A, P) and (Ls, A, P)
     @cached_property
     def log_rho(self) -> np.ndarray:
-        return self.zeta_mart - 0.5 * self.zeta_quad
+        return self.zeta[0] - 0.5 * self.zeta[1]
 
     @cached_property
     def log_rho_tilde(self) -> np.ndarray | None:
-        return None if self.rt_mart is None else self.rt_mart + 0.5 * self.rt_quad
+        zt = self.zeta_tilde
+        return None if zt is None else zt[0] + 0.5 * zt[1]
 
     @cached_property
     def stopped_log_rho(self) -> np.ndarray | None:
-        return (None if self.stopped_mart is None
-                else self.stopped_mart - 0.5 * self.stopped_quad)
+        zs = self.zeta_stopped
+        return None if zs is None else zs[:, 0] - 0.5 * zs[:, 1]
 
     def exit_counts(self) -> np.ndarray:
         """Per tau level: number of paths whose threshold hit strictly before T."""
@@ -295,29 +308,21 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         if integrate else None
     runmax_w0 = np.zeros(B)
     zeta = np.zeros((2, A, B)) if girsanov else None    # martingale, quadratic
-    zeta_mart, zeta_quad = zeta if girsanov else (None, None)
-    rt_mart = np.zeros((A, B)) if girsanov and integrate else None
-    rt_quad = np.zeros((A, B)) if girsanov and integrate else None
-    tau_h = np.full((L, B), grid.horizon)
-    tau_f = np.full((L, B), grid.horizon)
-    hit_h = np.zeros((L, B), dtype=bool)
-    hit_f = np.zeros((L, B), dtype=bool)
+    zeta_t = np.zeros((2, A, B)) if girsanov and integrate else None
+    tau_h, tau_f = np.full((2, L, B), grid.horizon)     # half and full form
+    hit_h, hit_f = np.zeros((2, L, B), dtype=bool)
     stopped = np.zeros((Ls, 2, A, B)) if (Ls and girsanov) else None
     bnames = ("z_half", "z_full", "x_full", "gronwall_sq")
     bviol = {n: np.zeros((A, c), dtype=np.int64) for n in bnames} if c else {}
     bmarg = {n: np.full((A, c), np.inf) for n in bnames} if c else {}
     cert = {n: np.zeros((len(tasks.cert_levels), A, c), dtype=np.int64)
-            for n in ("half", "full", "half_raw", "full_raw")} \
-        if (c and tasks.cert_levels) else {}
-    wviol = np.zeros((Wn, A, c), dtype=np.int64) if (c and Wn) else None
-    wmarg = np.full((Wn, A, c), np.inf) if (c and Wn) else None
-    wviol4 = np.zeros((Wn, A, c), dtype=np.int64) if (c and Wn) else None
-    wmarg4 = np.full((Wn, A, c), np.inf) if (c and Wn) else None
-    wnode = np.zeros((Wn, A, c), dtype=np.int64) if (c and Wn) else None
-    wlhs = np.zeros((Wn, A, c)) if (c and Wn) else None
-    wrhs = np.full((Wn, A, c), np.inf) if (c and Wn) else None
-    wover = np.zeros(Wn, dtype=np.int64)
-    wover4 = np.zeros(Wn, dtype=np.int64)
+            for n in ("half", "full")} if (c and tasks.cert_levels) else {}
+    nf = len(MOMENT_FORMS)
+    wviol = np.zeros((nf, Wn, A, c), dtype=np.int64) if (c and Wn) else None
+    wmarg = np.full((nf, Wn, A, c), np.inf) if (c and Wn) else None
+    wnode, wlhs, wrhs = (np.zeros((Wn, A, c), dtype=np.int64), np.zeros((Wn, A, c)),
+                         np.full((Wn, A, c), np.inf)) if (c and Wn) else (None,) * 3
+    wover = np.zeros((nf, Wn), dtype=np.int64)
     gaps = np.zeros((A - 1, B)) if (tasks.track_gaps and A > 1) else None
     fx = np.zeros((A, f, S, d)) if S else None
     fw0 = np.zeros((f, S, d)) if S else None
@@ -331,13 +336,11 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     noise = np.empty((B, F, 2, d))
     r_nw0 = np.empty((F, B))
     r_nw = np.empty((F, B)) if L else None
-    r_nz = np.empty((F, A, c)) if integrate and c else None
-    r_nx = np.empty((F, A, c)) if integrate and c else None
+    r_nz, r_nx = np.empty((2, F, A, c)) if integrate and c else (None, None)
     r_gap = np.empty((F, A - 1, B)) if gaps is not None else None
     r_zeta = np.empty((F, 2, A, B)) if stopped is not None else None
     need_I = bool(L or c)
-    r_a = np.zeros((F + 1, B)) if need_I else None
-    r_I1 = np.zeros((F + 1, B)) if need_I else None
+    r_a, r_I1 = np.zeros((2, F + 1, B)) if need_I else (None, None)
     r_I2 = np.zeros((F + 1, B)) if c else None
     cols = np.arange(c)
 
@@ -396,38 +399,35 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         lim = (t - 1e-15)[:, None, None]
         act_h = (tau_h[cert_li, :c] >= lim)[:, :, None]
         act_f = (tau_f[cert_li, :c] >= lim)[:, :, None]
-        above_slack = nx[:, None] > cert_lvl * slack
-        above = nx[:, None] > cert_lvl
-        cert["half"] += np.count_nonzero(act_h & above_slack, axis=0)
-        cert["half_raw"] += np.count_nonzero(act_h & above, axis=0)
-        cert["full"] += np.count_nonzero(act_f & above_slack, axis=0)
-        cert["full_raw"] += np.count_nonzero(act_f & above, axis=0)
+        above = nx[:, None] > cert_lvl * slack
+        cert["half"] += np.count_nonzero(act_h & above, axis=0)
+        cert["full"] += np.count_nonzero(act_f & above, axis=0)
 
     def weight_check(wi, s, t, n2, ab2, x2):
-        """Stated (``k = 2``) and derived (``k = 4``) weighted moment bounds,
-        with the right side of :func:`weights.moment_rhs`.
+        """The weighted moment bound in each form of :data:`MOMENT_FORMS`
+        (right side :func:`weights.moment_rhs`); the stated form also records
+        its worst node.
 
         An overflowing left side gives a ``-inf`` or NaN margin, a violation;
         an overflowing right side alone holds.  Nodes with either side
         non-finite are counted as overflow.
         """
         wf = weights[wi]
-        rhs, rhs4 = (moment_rhs(wf, beta, t[:, None], xn, n2, ab2, k)
-                     for k in (2.0, 4.0))
         with np.errstate(over="ignore"):
             lhs = wf.value(x2)
         lhs_ok = np.isfinite(lhs)
-        margin = (rhs * slack)[:, None] - lhs
-        upd, row = _strict_new_min(margin, wmarg[wi])
-        wnode[wi][upd] = s + row[upd]
-        wlhs[wi][upd] = np.take_along_axis(lhs, row[None], axis=0)[0][upd]
-        wrhs[wi][upd] = rhs[row, cols][upd]
-        _fold_margins(margin, wviol[wi], wmarg[wi])
-        del margin
-        _fold_margins((rhs4 * slack)[:, None] - lhs, wviol4[wi], wmarg4[wi])
-        for over, r in ((wover, rhs), (wover4, rhs4)):
-            ok = lhs_ok & np.isfinite(r)[:, None]
-            over[wi] += ok.size - np.count_nonzero(ok)
+        for fi, k in enumerate(MOMENT_FORMS.values()):
+            rhs = moment_rhs(wf, beta, t[:, None], xn, n2, ab2, k)
+            margin = (rhs * slack)[:, None] - lhs
+            if fi == 0:
+                upd, row = _strict_new_min(margin, wmarg[0, wi])
+                wnode[wi][upd] = s + row[upd]
+                wlhs[wi][upd] = np.take_along_axis(lhs, row[None], axis=0)[0][upd]
+                wrhs[wi][upd] = rhs[row, cols][upd]
+            _fold_margins(margin, wviol[fi, wi], wmarg[fi, wi])
+            del margin
+            ok = lhs_ok & np.isfinite(rhs)[:, None]
+            wover[fi, wi] += ok.size - np.count_nonzero(ok)
 
     def flush(s, n):
         t = times[s:s + n]
@@ -459,9 +459,10 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         if gaps is not None:
             np.maximum(gaps, r_gap[:n].max(axis=0), out=gaps)
 
-    def girsanov_sums(coef, base, dW, mart, quad):
+    def girsanov_sums(coef, base, dW, acc):
         """Add one step of ``<F/sig, dW>`` and ``|F/sig|^2 dt`` for the
-        factored ``F = coef[..., None] * base``."""
+        factored ``F = coef[..., None] * base`` to the rows of ``acc``."""
+        mart, quad = acc
         v = base / sig
         mart += coef * colsum(v * dW)
         quad += coef * coef * colsum(v * v) * dt
@@ -517,12 +518,12 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                     # a radial base is the stack itself: its w rows repeat
                     # w_cur, so the w sums run once on the (B, d) state
                     girsanov_sums(coef[0], w_cur if base is roles else base[0],
-                                  dWk, zeta_mart, zeta_quad)
-                    girsanov_sums(coef[1], base[1], dWk, rt_mart, rt_quad)
+                                  dWk, zeta)
+                    girsanov_sums(coef[1], base[1], dWk, zeta_t)
                 z = zp + (dt * coef[-1])[..., None] * base[-1]
             elif girsanov:
                 coef, base = drift.resolvent_warm(times[k], alpha_col, w_cur)
-                girsanov_sums(coef, base, dWk, zeta_mart, zeta_quad)
+                girsanov_sums(coef, base, dWk, zeta)
             w0[...] = w0_next
         flush(s, n)
 
@@ -534,16 +535,12 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     return {
         "final_w0": np.ascontiguousarray(w0),
         "w0_max": runmax_w0,
-        "zeta_mart": zeta_mart, "zeta_quad": zeta_quad,
-        "rt_mart": rt_mart, "rt_quad": rt_quad,
+        "zeta": zeta, "zeta_tilde": zeta_t, "zeta_stopped": stopped,
         "tau_half": tau_h if L else None, "tau_full": tau_f if L else None,
-        "stopped_mart": stopped[:, 0] if stopped is not None else None,
-        "stopped_quad": stopped[:, 1] if stopped is not None else None,
         "bound_viol": bviol, "bound_margin": bmarg, "cert_viol": cert,
         "weight_viol": wviol, "weight_margin": wmarg, "weight_overflow": wover,
         "weight_node": wnode, "weight_lhs": wlhs, "weight_rhs": wrhs,
-        "weight_viol_derived": wviol4, "weight_margin_derived": wmarg4,
-        "weight_overflow_derived": wover4, "sup_gaps": gaps, "p0_counts": p0c,
+        "sup_gaps": gaps, "p0_counts": p0c,
         "field_x": fx, "field_w0": fw0, "field_runmax": frm,
         "z_final": np.ascontiguousarray(z) if integrate and A else None,
     }
@@ -571,23 +568,6 @@ def split_paths(n_paths: int, n_check: int, block_size: int) -> list:
     return [np.concatenate((np.arange(c_edge[i], c_edge[i + 1]),
                             np.arange(r_edge[i], r_edge[i + 1])))
             for i in range(K)]
-
-
-# how run_ensemble joins each per-path block result: along its path axis, in
-# the order of the paths it holds (every path, the checked or the field
-# paths), a dict result array by array; the counts in _SUMMED are summed
-_JOIN = {name: (axis, paths) for axis, paths, names in (
-    (0, "every", "final_w0 w0_max"),
-    (1, "every", "zeta_mart zeta_quad rt_mart rt_quad tau_half tau_full "
-                 "sup_gaps z_final"),
-    (2, "every", "stopped_mart stopped_quad"),
-    (1, "checked", "bound_viol bound_margin"),
-    (2, "checked", "cert_viol weight_viol weight_margin weight_node weight_lhs "
-                   "weight_rhs weight_viol_derived weight_margin_derived"),
-    (0, "fields", "field_w0 field_runmax"),
-    (1, "fields", "field_x"),
-) for name in names.split()}
-_SUMMED = ("weight_overflow", "weight_overflow_derived", "p0_counts")
 
 
 def _path_order(blocks, limit):
@@ -640,19 +620,20 @@ def run_ensemble(model: GalerkinModel, drift: Drift, grid: PathGrid,
     else:
         parts = [_run_block(*s) for s in specs]
 
+    rules = {f.name: f.metadata["join"] for f in fields(EnsembleResult)
+             if "join" in f.metadata}
     orders = {paths: _path_order(blocks, n) for paths, n in (
         ("every", n_paths), ("checked", tasks.n_check_paths),
         ("fields", tasks.n_field_paths))}
     joined = {}
     for key in parts[0]:
-        vals = [p[key] for p in parts]
-        if key in _SUMMED:
-            joined[key] = None if vals[0] is None else np.sum(vals, axis=0)
-            continue
-        if key not in _JOIN:
+        if key not in rules:
             raise ValueError(f"block result {key!r} has no join rule")
-        axis, paths = _JOIN[key]
-        if isinstance(vals[0], dict):    # empty in a block without checked paths
+        axis, paths = rules[key]
+        vals = [p[key] for p in parts]
+        if paths == "sum":
+            joined[key] = None if vals[0] is None else np.sum(vals, axis=0)
+        elif isinstance(vals[0], dict):    # empty in a block without checked paths
             names = next((v for v in vals if v), {})
             joined[key] = {n: _cat([v.get(n) for v in vals], orders[paths], axis)
                            for n in names}

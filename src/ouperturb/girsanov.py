@@ -17,6 +17,7 @@ import numpy as np
 from .drifts import Drift
 from .engine import EnsembleResult
 from .model import GalerkinModel
+from .tails import level_y
 
 
 def _mean_stderr(vals: np.ndarray):
@@ -53,7 +54,8 @@ class StoppedMomentReport:
     @property
     def passed(self) -> bool:
         rel = self.stderr / self.estimate if self.estimate > 0 else 0.0
-        return self.estimate <= self.bound * (1.0 + 4.0 * rel) + 1e-12
+        return self.overflow == 0 and \
+            self.estimate <= self.bound * (1.0 + 4.0 * rel) + 1e-12
 
 
 def stopped_moment_bound(res: EnsembleResult, level: float,
@@ -62,9 +64,9 @@ def stopped_moment_bound(res: EnsembleResult, level: float,
     """Second moment of the transformed density on ``{tau_level >= T}``,
     ``T`` the horizon.
 
-    Must stay below ``exp(5 (a(level) |s^-1|)^2 T)`` up to Monte Carlo error.
-    The exponential is only evaluated on the indicator set, where the exponent
-    is bounded by construction.
+    Must stay below :func:`tails.level_y` at ``a(level)`` up to Monte Carlo
+    error.  The exponential is only evaluated on the indicator set, where the
+    exponent is bounded by construction; a non-finite value there fails.
     """
     li = list(res.tasks.tau_levels).index(level)
     keep = res.tau_half[li] >= res.grid.horizon - 1e-15
@@ -75,11 +77,10 @@ def stopped_moment_bound(res: EnsembleResult, level: float,
             ex = np.exp(2.0 * res.log_rho_tilde[alpha_index][keep])
         overflow = int(np.sum(~np.isfinite(ex)))
         vals[keep] = ex
-    m, se = _mean_stderr(vals)
     a_n = float(np.asarray(drift.bound(np.asarray(float(level)))))
-    with np.errstate(over="ignore"):
-        bound = float(np.exp(5.0 * (a_n * model.inv_sigma_norm) ** 2
-                             * model.horizon))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m, se = _mean_stderr(vals)
+        bound = float(level_y(a_n, model.inv_sigma_norm, model.horizon))
     return StoppedMomentReport(m, se, bound, int(np.sum(keep)), overflow)
 
 

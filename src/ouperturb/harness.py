@@ -28,7 +28,8 @@ from .pseudoweak import TestMeasureGrid, cesaro_limit, limsup_check, weak_gap
 from .tails import (ClosedFormWeight, EnvelopeWeight, MollifiedWeight,
                     TabulatedTail, admissibility_chain_fit, build_bump_weight,
                     check_weight_integral, p0_from_counts, tail_table)
-from .weights import check_moment_bound_on_fields, estimate_constant, objective
+from .weights import (MOMENT_FORMS, check_moment_bound_on_fields,
+                      estimate_constant, objective, search_bracket)
 
 N_CHECK_PATHS = 1000     # node-wise bound checks cover this prefix
 N_FIELD_PATHS = 48       # strided fields for the weak-limit diagnostics
@@ -265,11 +266,9 @@ def stage_phi(state: RunState):
     res = ensure_ensemble(state)
     state.say("stage phi-check")
     A = len(cfg.alphas)
-    nc = res.weight_viol.shape[2] if res.weight_viol is not None else 0
+    nc = res.weight_viol.shape[3] if res.weight_viol is not None else 0
+    tags = ["" if form == "stated" else f"{form}_" for form in MOMENT_FORMS]
     for wi, w in enumerate(cfg.weights):
-        viol = int(res.weight_viol[wi].sum())
-        worst = float(res.weight_margin[wi].min())
-        over = int(res.weight_overflow[wi])
         # one row per (alpha, path): the node attaining the smallest margin
         name = w.kind if w.kind != "power" else f"power{w.p:g}"
         state.emit(f"phi_bounds_{name}.csv",
@@ -279,25 +278,23 @@ def stage_phi(state: RunState):
                     res.weight_node[wi, :, :nc].astype(np.int64).reshape(-1),
                     np.asarray(res.weight_lhs[wi, :, :nc], dtype=float).reshape(-1),
                     np.asarray(res.weight_rhs[wi, :, :nc], dtype=float).reshape(-1),
-                    (res.weight_viol[wi, :, :nc] == 0).reshape(-1)])
-        state.add(Check(f"phi.bound_{name}", bound_gate(viol, worst), worst,
-                        f"stated form; {viol} node violations, "
-                        f"{over} overflow nodes"))
-        viol4 = int(res.weight_viol_derived[wi].sum())
-        worst4 = float(res.weight_margin_derived[wi].min())
-        over4 = int(res.weight_overflow_derived[wi])
-        state.add(Check(f"phi.bound_derived_{name}", bound_gate(viol4, worst4),
-                        worst4, f"derived form; {viol4} node violations, "
-                        f"{over4} overflow nodes"))
+                    (res.weight_viol[0, wi, :, :nc] == 0).reshape(-1)])
+        for fi, (form, tag) in enumerate(zip(MOMENT_FORMS, tags)):
+            viol = int(res.weight_viol[fi, wi].sum())
+            worst = float(res.weight_margin[fi, wi].min())
+            over = int(res.weight_overflow[fi, wi])
+            state.add(Check(f"phi.bound_{tag}{name}", bound_gate(viol, worst),
+                            worst, f"{form} form; {viol} node violations, "
+                            f"{over} overflow nodes"))
 
-    # the same bound on the weak-limit candidate fields (both variants)
+    # the same bound on the weak-limit candidate fields, in each form
     if state.candidate is not None:
         for w in cfg.weights:
-            for scale, tag in ((2.0, ""), (4.0, "derived_")):
+            for k, tag in zip(MOMENT_FORMS.values(), tags):
                 rep = check_moment_bound_on_fields(
                     state.candidate, res.field_w0, res.field_runmax,
                     res.snap_times, cfg.model.x0, w, cfg.model.beta,
-                    cfg.drift.bound, cfg.grid.dt, k_scale=scale)
+                    cfg.drift.bound, cfg.grid.dt, k_scale=k)
                 state.add(Check(f"phi.bound_candidate_{tag}{w.kind}",
                                 bound_gate(rep.violations, rep.worst_margin),
                                 rep.worst_margin,
@@ -323,9 +320,8 @@ def stage_phi(state: RunState):
                                      estimate_constant(w, *np.array(w_triples).T)):
             # one triple at a time: the re-check is arithmetic on 4001-point
             # rows, not per-call overhead, and 2-D row blocks ran no faster
-            u0 = max(c**2 / beta**2, c**2 / (4 * (beta - B) ** 2)) \
-                if B < beta else c**2 / beta**2
-            grid = np.linspace(0.0, 10.0 * max(u0, 1e-9), 4001)
+            grid = np.linspace(0.0, 10.0 * max(search_bracket(c, beta, B), 1e-9),
+                               4001)
             fmax = objective(w, c, beta, B, grid).max()
             excess = float((fmax - est.value) / max(abs(est.value), 1e-300))
             worst_excess = max(worst_excess, excess)

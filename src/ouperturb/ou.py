@@ -43,6 +43,13 @@ class PathGrid:
         return self.horizon * np.arange(self.n_steps + 1) / self.n_steps
 
 
+def convolution_variance(model: GalerkinModel, t):
+    """Per-mode variance ``sigma^2 (1 - e^{2 lam t}) / (-2 lam)`` of the
+    stochastic convolution over a time ``t``."""
+    lam = model.eigenvalues
+    return model.sigma_diag**2 * (1.0 - np.exp(2.0 * lam * t)) / (-2.0 * lam)
+
+
 def step_constants(model: GalerkinModel, dt: float):
     """Per-mode exact one-step constants.
 
@@ -53,10 +60,9 @@ def step_constants(model: GalerkinModel, dt: float):
     """
     lam = model.eigenvalues
     decay = np.exp(lam * dt)
-    conv_var = model.sigma_diag**2 * (1.0 - np.exp(2.0 * lam * dt)) / (-2.0 * lam)
     cross = model.sigma_diag * (1.0 - decay) / (-lam)
     a1 = cross / np.sqrt(dt)
-    a2 = np.sqrt(np.maximum(conv_var - cross**2 / dt, 0.0))
+    a2 = np.sqrt(np.maximum(convolution_variance(model, dt) - cross**2 / dt, 0.0))
     return decay, a1, a2
 
 
@@ -144,10 +150,7 @@ def ou_moments(model: GalerkinModel, t: float):
     """Exact per-mode mean and variance of the path started at ``x0``."""
     if not 0.0 <= t <= model.horizon:
         raise ValueError(f"t={t} outside [0, {model.horizon}]")
-    mean = semigroup_apply(model, t, model.x0)
-    lam = model.eigenvalues
-    var = model.sigma_diag**2 * (1.0 - np.exp(2.0 * lam * t)) / (-2.0 * lam)
-    return mean, var
+    return semigroup_apply(model, t, model.x0), convolution_variance(model, t)
 
 
 @dataclass

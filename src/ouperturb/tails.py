@@ -31,10 +31,15 @@ def wilson_interval(successes: int, n: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def level_y(a: float, inv_sigma_norm: float, horizon: float):
+    """``exp(5 (a |s^-1|)^2 T)``, the tail abscissa of the drift bound ``a``."""
+    return np.exp(5.0 * (a * inv_sigma_norm) ** 2 * horizon)
+
+
 def admissible_y_start(bound_fn, inv_sigma_norm: float, horizon: float) -> float:
-    """Smallest admissible tail abscissa, ``exp(5 (a(0) |s^-1|)^2 T)``."""
+    """Smallest admissible tail abscissa, :func:`level_y` at ``a(0)``."""
     a0 = float(np.asarray(bound_fn(np.asarray(0.0))))
-    return float(np.exp(5.0 * (a0 * inv_sigma_norm) ** 2 * horizon))
+    return float(level_y(a0, inv_sigma_norm, horizon))
 
 
 def level_for_y(y, bound_fn, inv_sigma_norm: float, horizon: float,
@@ -97,8 +102,6 @@ def tail_table(y_grid, exit_counts, n_paths: int, levels, bound_fn,
 class UIWeight:
     """Increasing weight with a derivative; the uniform-integrability probe."""
 
-    name = "abstract"
-
     def value(self, y):
         raise NotImplementedError
 
@@ -121,7 +124,6 @@ class ClosedFormWeight(UIWeight):
     """
 
     delta: float = 0.5
-    name = "closed_form"
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 1.0:
@@ -166,7 +168,6 @@ class BumpSumWeight(UIWeight):
     """
 
     knots: tuple
-    name = "bump_sum"
 
     def deriv(self, y):
         y = np.asarray(y, dtype=float)
@@ -269,7 +270,6 @@ class MollifiedWeight(UIWeight):
 
     tail: TabulatedTail
     delta: float = 1e-2
-    name = "mollified"
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -295,7 +295,6 @@ class EnvelopeWeight(UIWeight):
     """Un-mollified envelope ``Psi(y) = 1/sqrt(p(y))`` over a tabulated tail."""
 
     tail: TabulatedTail
-    name = "envelope"
 
     def value(self, y):
         return 1.0 / np.sqrt(self.tail(y))
@@ -394,10 +393,6 @@ class ChainFitReport:
     c3: float
     fraction_held: float
     worst_margin: float
-
-    @property
-    def holds(self):
-        return self.fraction_held == 1.0
 
 
 def admissibility_chain_fit(p0: P0Table, bound_inverse, weight: UIWeight,

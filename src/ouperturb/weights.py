@@ -7,10 +7,10 @@ powers (limit = exponent), the exponential (limit infinite), and
 downstream formula tolerates.
 
 ``estimate_constant`` maximizes ``w'(u)(c*sqrt(u) - beta*u) + B*w(u)`` over
-``u >= 0``.  A closed bracket ``max(c^2/beta^2, c^2/(4(beta-B)^2))`` is valid
-only when ``B < beta``; for ``B >= beta`` (allowed when the ratio limit
-exceeds one) the maximizer can sit far beyond it, so the search bracket is
-expanded geometrically until the maximum is interior.
+``u >= 0`` from the closed bracket of :func:`search_bracket`, valid only when
+``B < beta``; for ``B >= beta`` (allowed when the ratio limit exceeds one) the
+maximizer can sit far beyond it, so the bracket is expanded geometrically
+until the maximum is interior.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from .drifts import norm
 
 SLACK_MULT = 10.0    # node-wise bounds allow their right side times 1 + SLACK_MULT*dt
+MOMENT_FORMS = {"stated": 2.0, "derived": 4.0}   # moment_rhs's k, in axis order
 
 
 @dataclass(frozen=True)
@@ -89,6 +90,13 @@ def objective(w: WeightFunction, c: float, beta: float, B: float, u):
     return np.where(np.isnan(f), -np.inf, f)
 
 
+def search_bracket(c: float, beta: float, B: float) -> float:
+    """The closed bracket ``max(c^2/beta^2, c^2/(4(beta-B)^2))`` of the
+    maximizer of :func:`objective`, or ``c^2/beta^2`` when ``B >= beta``."""
+    return max(c**2 / beta**2, c**2 / (4.0 * (beta - B) ** 2)) if B < beta \
+        else c**2 / beta**2
+
+
 def estimate_constant(w: WeightFunction, c, beta, B):
     """Sharp constant dominating ``w'(u)(c*sqrt(u) - beta*u) + B*w(u)``.
 
@@ -118,9 +126,7 @@ def estimate_constant(w: WeightFunction, c, beta, B):
             raise ValueError("need c >= 0, beta > 0, B > 0")
         if np.isfinite(L) and not Bi < bi * L:
             raise ValueError(f"need B < beta * {L} = {bi * L}, got B={Bi}")
-        u0 = max(ci**2 / bi**2, ci**2 / (4.0 * (bi - Bi) ** 2)) if Bi < bi \
-            else ci**2 / bi**2
-        hi = max(u0, 1.0)
+        hi = max(search_bracket(ci, bi, Bi), 1.0)
         for _ in range(200):
             grid = np.linspace(0.0, hi, grid_points)
             vals = objective(w, ci, bi, Bi, grid)
@@ -188,16 +194,12 @@ class MomentBoundReport:
     worst_margin: float
     overflow_nodes: int
 
-    @property
-    def passed(self):
-        return self.violations == 0
-
 
 def moment_rhs(w: WeightFunction, beta: float, t, xn: float, n2, ab2,
                k: float):
     """Weighted moment right side ``e^{-beta t} w(4 xn^2)/2 + w(k n2)/2 +
-    beta t w(k ab2)/2``, ``n2 = |w0|^2``, ``ab2 = a(rm)^2/beta^2``; ``k = 2``
-    is the stated form, ``k = 4`` the derived one."""
+    beta t w(k ab2)/2``, ``n2 = |w0|^2``, ``ab2 = a(rm)^2/beta^2``, with the
+    ``k`` of a form of :data:`MOMENT_FORMS`."""
     with np.errstate(over="ignore", invalid="ignore"):
         head = 0.5 * np.exp(-beta * t) * w.value(4.0 * xn * xn)
         return head + 0.5 * w.value(k * n2) + 0.5 * beta * t * w.value(k * ab2)
@@ -225,7 +227,7 @@ def check_moment_bound_on_fields(fields, w0_fields, runmax_fields, snap_times,
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = moment_rhs(w, beta, snap_times, xn, norm(w0_fields) ** 2,
                          a_rm**2 / beta**2, k_scale)
-        lhs = w.value(np.sum(np.asarray(fields) ** 2, axis=-1))
+        lhs = w.value(norm(np.asarray(fields)) ** 2)
         margin = rhs * slack - lhs
     finite = np.isfinite(lhs) & np.isfinite(rhs)
     return MomentBoundReport(int(np.sum(~(margin >= 0))), float(np.min(margin)),

@@ -520,8 +520,6 @@ def check_dissipative(drift: Drift, seed: int, n_pairs: int, *, dim: int,
 class IdentityWeight(UIWeight):
     """``Psi(y) = y``; not admissible as a certificate, used as a probe."""
 
-    name = "identity"
-
     def value(self, y):
         return np.asarray(y, dtype=float).copy()
 

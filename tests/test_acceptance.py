@@ -303,8 +303,8 @@ def test_c3_transient_envelope_stated(eng_full, eng_small):
 def _weight_stats(res, derived: bool = False):
     """(node violations, worst margin) of the weighted moment bound; a
     non-finite worst margin fails here, as in :func:`_bound_stats`."""
-    viol = res.weight_viol_derived if derived else res.weight_viol
-    margin = res.weight_margin_derived if derived else res.weight_margin
+    viol = res.weight_viol[int(derived)]
+    margin = res.weight_margin[int(derived)]
     worst = float(margin.min())
     form = "derived" if derived else "stated"
     assert np.isfinite(worst), f"{form} weight bound: non-finite worst margin"

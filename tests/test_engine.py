@@ -68,7 +68,7 @@ def test_engine_matches_stored_ops(model4, grid, pair):
             wrep = check_moment_bound(sol, model4, drift,
                                       make_weight("power", 2.0))
             assert wrep.worst_margin == \
-                pytest.approx(res.weight_margin[0, 0, pid], rel=1e-9)
+                pytest.approx(res.weight_margin[0, 0, 0, pid], rel=1e-9)
 
 
 @pytest.mark.parametrize("drift", [CUBIC, L1], ids=["cubic", "l1"])
@@ -79,8 +79,7 @@ def test_engine_source_sums_match_girsanov_only(model4, grid, drift):
     full = run_ensemble(model4, drift, grid, TASKS, 12, 99)
     alone = run_ensemble(model4, drift, grid,
                          EnsembleTasks(alphas=TASKS.alphas, girsanov=True), 12, 99)
-    assert np.array_equal(full.zeta_mart, alone.zeta_mart)
-    assert np.array_equal(full.zeta_quad, alone.zeta_quad)
+    assert np.array_equal(full.zeta, alone.zeta)
 
 
 def test_engine_fields_match_stored(model4, grid, pair):
@@ -102,13 +101,16 @@ def test_engine_sup_gaps_match_stored(model4, grid, pair):
     assert gap == pytest.approx(res.sup_gaps[0, 2], rel=1e-12)
 
 
-def test_join_rules_name_every_result_array():
-    # every array or dict of arrays in the result is joined by its table
-    # rule or summed, and never both
+def test_join_rules_name_every_result_array(model4, grid):
+    # every array or dict of arrays in the result declares its join rule, and
+    # a block that runs every task returns exactly the fields with a rule
+    ruled = {f.name for f in fields(engine.EnsembleResult) if "join" in f.metadata}
     arrays = {f.name for f in fields(engine.EnsembleResult)
               if "ndarray" in f.type or f.type == "dict"}
-    assert set(engine._JOIN) | set(engine._SUMMED) == arrays
-    assert not set(engine._JOIN) & set(engine._SUMMED)
+    assert ruled == arrays
+    out = engine._run_block(model4, CUBIC, grid, TASKS, 99, np.arange(12))
+    assert set(out) == ruled
+    assert all(out[name] is not None and len(out[name]) for name in ruled)
 
 
 def test_join_rejects_unnamed_block_result(model4, monkeypatch):
@@ -176,7 +178,8 @@ def test_engine_blocking_and_worker_invariance(model4, grid):
                               base.stopped_log_rho[:, 1])
         assert np.array_equal(one.z_final[0], base.z_final[1])
         assert np.array_equal(one.field_x[0], base.field_x[1])
-        assert np.array_equal(one.weight_margin[:, 0], base.weight_margin[:, 1])
+        assert np.array_equal(one.weight_margin[:, :, 0],
+                              base.weight_margin[:, :, 1])
         for name in base.bound_viol:
             assert np.array_equal(one.bound_viol[name][0], base.bound_viol[name][1])
             assert np.array_equal(one.bound_margin[name][0],
@@ -215,8 +218,8 @@ def test_engine_chunk_length_invariance(model4, grid, monkeypatch):
         monkeypatch.setattr(engine, "CHUNK_STEPS", chunk)
         runs[chunk] = result_arrays(run_ensemble(model4, CUBIC, grid, tasks, 12, 99))
     base = runs.pop(1)
-    for name in ("weight_node", "weight_lhs", "weight_rhs", "stopped_mart",
-                 "stopped_quad", "cert_viol.half", "cert_viol.full_raw",
+    for name in ("weight_node", "weight_lhs", "weight_rhs", "zeta_stopped",
+                 "cert_viol.half", "cert_viol.full",
                  "p0_counts", "field_runmax", "w0_max", "tau_full"):
         assert name in base
     for chunk, other in runs.items():
@@ -246,10 +249,8 @@ def test_engine_weight_checks_fail_closed(spike):
     tasks = EnsembleTasks(alphas=(0.1,), integrate=True, n_check_paths=4,
                           weights=(SpikedWeight("power", 2.0, spike),))
     res = run_ensemble(model, make_drift("zero"), PathGrid(100, 1.0), tasks, 4, 3)
-    for viol, worst, over in ((res.weight_viol, res.weight_margin,
-                               res.weight_overflow),
-                              (res.weight_viol_derived, res.weight_margin_derived,
-                               res.weight_overflow_derived)):
+    for viol, worst, over in zip(res.weight_viol, res.weight_margin,
+                                 res.weight_overflow):
         n_viol, low = int(viol.sum()), float(worst.min())
         assert n_viol > 0 and over[0] > 0
         assert np.isnan(low) if np.isnan(spike) else low == -np.inf
@@ -282,8 +283,7 @@ def test_engine_girsanov_only_matches_stored_ops(model4, grid):
     for block_size, n_workers in ((5, 1), (4, 2)):
         other = run_ensemble(model4, SAT, grid, tasks, 12, 99,
                              block_size=block_size, n_workers=n_workers)
-        assert np.array_equal(res.zeta_mart, other.zeta_mart)
-        assert np.array_equal(res.zeta_quad, other.zeta_quad)
+        assert np.array_equal(res.zeta, other.zeta)
         assert np.array_equal(res.final_w0, other.final_w0)
 
 

@@ -93,7 +93,7 @@ def test_statistics_read_the_pass_result(model4):
     assert res.density_ensemble(model4, SAT, 62) is res
     lr = res.log_rho
     assert res.log_rho is lr
-    assert np.array_equal(lr, res.zeta_mart - 0.5 * res.zeta_quad)
+    assert np.array_equal(lr, res.zeta[0] - 0.5 * res.zeta[1])
     assert res.log_rho_tilde is None and res.stopped_log_rho is None
 
 

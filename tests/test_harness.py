@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -287,6 +288,24 @@ def test_zero_drift_only_stated_weight_checks_fail(zero_run):
     assert r.returncode == 1
 
 
+def test_compare_runs_script(zero_run, tmp_path):
+    # a copy of a run reads the same; one changed CSV byte is a difference
+    # that names the file
+    out, _ = zero_run
+    copy = tmp_path / "copy"
+    shutil.copytree(out, copy)
+    compare = [sys.executable, str(ROOT / "scripts" / "compare_runs.py"),
+               str(out), str(copy)]
+    r = subprocess.run(compare, capture_output=True, text=True)
+    assert r.returncode == 0, r.stdout
+    data = bytearray((copy / "p0.csv").read_bytes())
+    data[-2] = ord("8") if data[-2] == ord("7") else ord("7")
+    (copy / "p0.csv").write_bytes(bytes(data))
+    r = subprocess.run(compare, capture_output=True, text=True)
+    assert r.returncode == 1
+    assert r.stdout.splitlines() == ["p0.csv: bytes differ"]
+
+
 def test_all_checks_pass_without_weight_stage(tmp_path):
     raw = json.loads(ZERO.read_text())
     raw["phi"]["kinds"] = []
@@ -448,7 +467,9 @@ def test_nan_margin_fails_bound_gates(cached_state):
     # the derived form reports its own overflow count
     assert clean["phi.bound_derived_power2"].detail == \
         "derived form; 0 node violations, 0 overflow nodes"
-    doctored = replace(res, weight_margin_derived=with_nan(res.weight_margin_derived))
+    # row 1 of the form axis is the derived form
+    doctored = replace(res, weight_margin=with_nan(res.weight_margin,
+                                                   res.weight_margin[0].size + 3))
     checks = run_stage(cached_state, stage_phi, doctored)
     assert "0 node violations" in checks["phi.bound_derived_power2"].detail
     assert not checks["phi.bound_derived_power2"].passed
@@ -473,12 +494,35 @@ def test_overflow_fails_entropy_two_route(cached_state):
     res = cached_state.result
     clean = run_stage(cached_state, stage_girsanov, res)
     assert clean["girsanov.entropy_two_route"].passed
-    doctored = replace(res, rt_mart=with_nan(res.rt_mart))
+    doctored = replace(res, zeta_tilde=with_nan(res.zeta_tilde))
     assert np.count_nonzero(~np.isfinite(doctored.log_rho_tilde)) == 1
     checks = run_stage(cached_state, stage_girsanov, doctored)
     assert not checks["girsanov.entropy_two_route"].passed
     rows = (cached_state.out / "entropy.csv").read_text().splitlines()[1:]
     assert [r.split(",")[-1] for r in rows] == ["0"] + ["1"] * (len(rows) - 1)
+
+
+def test_overflow_fails_stopped_moment(cached_state):
+    # a kept path whose transformed density overflows fails its cell by its
+    # overflow count, not through NaN arithmetic, and raises no warning
+    res = cached_state.result
+    clean = run_stage(cached_state, stage_girsanov, res)
+    assert clean["girsanov.stopped_moment"].passed
+    kept = res.tau_half >= res.grid.horizon - 1e-15
+    path = np.flatnonzero(kept[-1])[0]
+    zt = res.zeta_tilde.copy()
+    zt[0, 0, path] = 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = run_stage(cached_state, stage_girsanov,
+                           replace(res, zeta_tilde=zt))
+    assert not checks["girsanov.stopped_moment"].passed
+    rows = (cached_state.out / "stopped.csv").read_text().splitlines()[1:]
+    failed = [r.split(",")[:2] for r in rows if r.endswith(",0")]
+    # the cells of the first alpha at each level that keeps the path
+    levels = cached_state.cfg.tau_levels
+    assert failed == [[fmt(lvl), fmt(cached_state.cfg.alphas[0])]
+                      for li, lvl in enumerate(levels) if lvl and kept[li, path]]
 
 
 def test_dumped_paths_are_the_pass_paths(tmp_path):
