@@ -14,6 +14,7 @@ import numpy as np
 from ouperturb import (GalerkinModel, PathGrid, fernique_probe,
                        largest_stable_gamma, validate_model)
 from ouperturb.engine import EnsembleTasks, run_ensemble
+from ouperturb.ou import convolution_variance
 
 
 def main():
@@ -34,9 +35,7 @@ def main():
         grid = PathGrid(args.steps, 1.0)
         res = run_ensemble(model, None, grid, EnsembleTasks(),
                            args.paths, args.seed)
-        var_mass = float(np.sum(
-            model.sigma_diag**2 * (1 - np.exp(2 * model.eigenvalues))
-            / (-2 * model.eigenvalues)))
+        var_mass = float(np.sum(convolution_variance(model, model.horizon)))
         rows = fernique_probe(res.w0_max, (0.05, 0.1, 0.2, 0.4, 0.8, 1.6))
         probe = next(r.estimate for r in rows if r.gamma == 0.2)
         print(f"{d:4d} {var_mass:12.6f} {probe:16.6f} "

@@ -52,29 +52,27 @@ call bitwise equal to one call per role.
 
 Record and flush.  A step runs only what must run in sequence: the exact OU
 step, the Girsanov sums, and the implicit regularized step with its
-resolvents.  Before each step it records what the diagnostics
-need of the node into chunk buffers: ``|w0|`` of every path, ``|w|`` of
-every path when stopping times are asked for, ``|z|`` and ``|X|`` of the
-checked paths, the adjacent-alpha gaps, and the running exponents when
-stopped exponents are asked for.  Every
-``CHUNK_STEPS`` nodes the buffers are flushed, and each diagnostic folds the
-whole chunk at once along its time axis: running maxima by accumulation,
-first hits by argmax, counts and worst margins by reductions.  The
-exp-decay envelopes ``I1``, ``I2`` are the only recurrences; the flush runs
-them row by row on ``(B,)`` vectors.  Each element goes through the same
-floating-point operations as it would node by node, and min, max and count
-reductions do not depend on order, so no result depends on ``CHUNK_STEPS``.
-The chunk length bounds the buffers and the flush temporaries, which grow
-with it.
+resolvents.  Before each step it records what the diagnostics need of the
+node into chunk buffers: ``|w0|`` of every path, ``|w|`` of every path when
+stopping times are asked for, ``|z|`` and ``|X|`` of the checked paths, the
+adjacent-alpha gaps, and the running exponents when stopped exponents are
+asked for.  Every ``CHUNK_STEPS`` nodes the buffers are flushed, and each
+diagnostic folds the whole chunk at once along its time axis: running maxima
+by accumulation, first hits by argmax, counts and worst margins by
+reductions.  The exp-decay envelopes ``I1``, ``I2`` are the only
+recurrences; the flush runs them row by row on ``(B,)`` vectors.  From
+``I1`` it forms the transient envelope ``e^{-beta t}|x0| + coef * I1`` once
+per flush, in both forms of :data:`ENVELOPE_FORMS` as one ``(n, 2, B)``
+array, which the stopping times, the bound checks and the level
+certificates all read.  Each element goes through the same floating-point
+operations as it would node by node, and min, max and count reductions do
+not depend on order, so no result depends on ``CHUNK_STEPS``.  The chunk
+length bounds the buffers and the flush temporaries, which grow with it.
 
-One pass can compute, per regularization parameter: change-of-measure
-exponents along both the unperturbed and the perturbed paths, threshold
-stopping times under both transient envelopes (the exponents stop at the
-half-form time), node-wise transient and weighted-moment bound checks with
-margins, level certificates, adjacent-alpha sup gaps, strided field
-snapshots for the weak-limit diagnostics, and exceedance counts for the
-centered-path tail.  The regularized step flows with the model's own
-generator, and every envelope decays at the model's ``beta``.
+One pass computes what its :class:`EnsembleTasks` ask for, per
+regularization parameter; :class:`EnsembleResult` lists each output with its
+shape.  The regularized step flows with the model's own generator, and
+every envelope decays at the model's ``beta``.
 """
 
 from __future__ import annotations
@@ -92,15 +90,18 @@ from .weights import MOMENT_FORMS, SLACK_MULT, moment_rhs
 
 BLOCK_SIZE = 1024
 CHUNK_STEPS = 32     # nodes per noise draw and per diagnostics flush
+ENVELOPE_FORMS = {"half": 0.5, "full": 1.0}   # forcing coefficient, in axis order
+BOUND_FORMS = ("z_half", "z_full", "x_full", "gronwall_sq")   # z_half is stated
 
 
 @dataclass(frozen=True)
 class EnsembleTasks:
     """What the streaming pass should compute.
 
-    Each of ``tau_levels`` gets both stopping times: ``tau_half`` under the
-    stated half-coefficient envelope, ``tau_full`` under the derived full
-    one.  The exponents of ``stop_zeta_levels`` stop at ``tau_half``.
+    Each of ``tau_levels`` gets a stopping time in both forms of
+    :data:`ENVELOPE_FORMS`: ``tau[0]`` under the stated half-coefficient
+    envelope, ``tau[1]`` under the derived full one.  The exponents of
+    ``stop_zeta_levels`` stop at ``tau[0]``.
     """
 
     alphas: tuple = ()
@@ -139,23 +140,33 @@ class EnsembleTasks:
 
 def _out(axis: int, paths: str):
     """A pass output, joined along ``axis`` in the order of the paths it holds
-    (``"every"``, ``"checked"`` or ``"fields"``; a dict key by key), or
-    summed over the blocks (``"sum"``)."""
-    return field(default=None, metadata={"join": (axis, paths)})
+    (``"every"``, ``"checked"`` or ``"fields"``), or summed over the blocks
+    (``"sum"``)."""
+    return field(metadata={"join": (axis, paths)})
 
 
 @dataclass(eq=False)
 class EnsembleResult:
-    """The joined outputs of one pass, ``None`` (a dict ``{}``) where no task
-    asked for them.  Shapes, for ``P`` paths (the first ``c`` checked, the
-    first ``f`` with fields), ``A`` alphas, ``L`` tau levels (``Ls`` stopping
-    the exponents, ``Lc`` certified), ``W`` weights and ``d`` modes: the
-    exponent sums ``zeta`` (along ``w``) and ``zeta_tilde`` (along ``X``)
-    ``(2, A, P)``, rows martingale and quadratic, ``zeta_stopped``
-    ``(Ls, 2, A, P)``; ``tau_*`` ``(L, P)``; the bound dicts ``(A, c)`` and
-    ``cert_viol`` ``(Lc, A, c)``; the weight checks ``(2, W, A, c)`` (their
-    overflow ``(2, W)``) in the forms of :data:`weights.MOMENT_FORMS`, and
-    the stated form's worst node ``(W, A, c)``; ``field_x`` ``(A, f, S, d)``.
+    """The joined outputs of one pass, each one array.  Shapes, for ``P``
+    paths (the first ``c`` checked, the first ``f`` with fields), ``A``
+    alphas, ``L`` tau levels (``Ls`` stopping the exponents, ``Lc``
+    certified), ``W`` weights, ``S`` snapshots, ``m`` tail levels, ``N``
+    steps and ``d`` modes: ``final_w0`` ``(P, d)``, ``w0_max`` ``(P,)``,
+    ``z_final`` ``(A, P, d)``; the exponent sums ``zeta`` (along ``w``) and
+    ``zeta_tilde`` (along ``X``) ``(2, A, P)``, rows martingale and
+    quadratic, ``zeta_stopped`` ``(Ls, 2, A, P)``; ``tau`` ``(2, L, P)`` and
+    ``cert_viol`` ``(2, Lc, A, c)`` in the forms of :data:`ENVELOPE_FORMS`,
+    ``bound_viol`` and ``bound_margin`` ``(4, A, c)`` in :data:`BOUND_FORMS`;
+    the weight checks ``(2, W, A, c)`` (overflow ``(2, W)``) in
+    :data:`weights.MOMENT_FORMS`, the stated form's worst node ``(W, A, c)``;
+    ``sup_gaps`` ``(A - 1, P)``; ``field_x`` ``(A, f, S, d)``, ``field_w0``
+    ``(f, S, d)``, ``field_runmax`` ``(f, S)``; ``p0_counts`` ``(N + 1, m)``.
+
+    An output that no task asked for has an axis of length 0, never
+    ``None``: the alpha axis of the exponents without Girsanov (and of
+    ``zeta_tilde`` and ``z_final`` without integration), the gap axis
+    without ``track_gaps``, ``S`` without fields.  Every axis but the path
+    axis comes from the tasks, so the blocks always join.
     """
 
     n_paths: int
@@ -164,33 +175,31 @@ class EnsembleResult:
     tasks: EnsembleTasks
     final_w0: np.ndarray = _out(0, "every")
     w0_max: np.ndarray = _out(0, "every")
-    zeta: np.ndarray | None = _out(2, "every")
-    zeta_tilde: np.ndarray | None = _out(2, "every")
-    zeta_stopped: np.ndarray | None = _out(3, "every")
-    tau_half: np.ndarray | None = _out(1, "every")
-    tau_full: np.ndarray | None = _out(1, "every")
-    bound_viol: dict = _out(1, "checked")
-    bound_margin: dict = _out(1, "checked")
-    cert_viol: dict = _out(2, "checked")
-    weight_viol: np.ndarray | None = _out(3, "checked")
-    weight_margin: np.ndarray | None = _out(3, "checked")
-    weight_overflow: np.ndarray | None = _out(0, "sum")
-    weight_node: np.ndarray | None = _out(2, "checked")
-    weight_lhs: np.ndarray | None = _out(2, "checked")
-    weight_rhs: np.ndarray | None = _out(2, "checked")
-    sup_gaps: np.ndarray | None = _out(1, "every")
-    field_x: np.ndarray | None = _out(1, "fields")
-    field_w0: np.ndarray | None = _out(0, "fields")
-    field_runmax: np.ndarray | None = _out(0, "fields")
-    p0_counts: np.ndarray | None = _out(0, "sum")
-    z_final: np.ndarray | None = _out(1, "every")
+    zeta: np.ndarray = _out(2, "every")
+    zeta_tilde: np.ndarray = _out(2, "every")
+    zeta_stopped: np.ndarray = _out(3, "every")
+    tau: np.ndarray = _out(2, "every")
+    bound_viol: np.ndarray = _out(2, "checked")
+    bound_margin: np.ndarray = _out(2, "checked")
+    cert_viol: np.ndarray = _out(3, "checked")
+    weight_viol: np.ndarray = _out(3, "checked")
+    weight_margin: np.ndarray = _out(3, "checked")
+    weight_overflow: np.ndarray = _out(0, "sum")
+    weight_node: np.ndarray = _out(2, "checked")
+    weight_lhs: np.ndarray = _out(2, "checked")
+    weight_rhs: np.ndarray = _out(2, "checked")
+    sup_gaps: np.ndarray = _out(1, "every")
+    field_x: np.ndarray = _out(1, "fields")
+    field_w0: np.ndarray = _out(0, "fields")
+    field_runmax: np.ndarray = _out(0, "fields")
+    p0_counts: np.ndarray = _out(0, "sum")
+    z_final: np.ndarray = _out(1, "every")
     blocks: tuple = ()      # (paths, checked paths) of each block, in order
 
     @property
-    def snap_times(self) -> np.ndarray | None:
-        """The times of the field snapshots."""
-        stride = self.tasks.field_stride if self.tasks.n_field_paths else 0
-        return self.grid.times[::stride] if stride else None
+    def snap_times(self) -> np.ndarray:
+        """The times of the field snapshots (none without fields)."""
+        return self.grid.times[::self.tasks.field_stride or 1][:self.field_x.shape[2]]
 
     # the change-of-measure exponents: (A, P), (A, P) and (Ls, A, P)
     @cached_property
@@ -198,18 +207,16 @@ class EnsembleResult:
         return self.zeta[0] - 0.5 * self.zeta[1]
 
     @cached_property
-    def log_rho_tilde(self) -> np.ndarray | None:
-        zt = self.zeta_tilde
-        return None if zt is None else zt[0] + 0.5 * zt[1]
+    def log_rho_tilde(self) -> np.ndarray:
+        return self.zeta_tilde[0] + 0.5 * self.zeta_tilde[1]
 
     @cached_property
-    def stopped_log_rho(self) -> np.ndarray | None:
-        zs = self.zeta_stopped
-        return None if zs is None else zs[:, 0] - 0.5 * zs[:, 1]
+    def stopped_log_rho(self) -> np.ndarray:
+        return self.zeta_stopped[:, 0] - 0.5 * self.zeta_stopped[:, 1]
 
     def exit_counts(self) -> np.ndarray:
         """Per tau level: number of paths whose threshold hit strictly before T."""
-        return np.sum(self.tau_half < self.grid.horizon - 1e-15, axis=1).astype(int)
+        return np.sum(self.tau[0] < self.grid.horizon - 1e-15, axis=1).astype(int)
 
     def final_w(self, model: GalerkinModel) -> np.ndarray:
         return self.final_w0 + semigroup_apply(model, self.grid.horizon, model.x0)
@@ -224,8 +231,8 @@ class EnsembleResult:
 def _first_hits(reach, hit, tau, t):
     """Record the first crossing of each level within one chunk.
 
-    ``reach`` is ``(n, L, B)``: whether each node of the chunk is at or above
-    each level.  A path not hit before the chunk gets ``tau`` = the time of
+    ``reach`` is ``(n, ..., L, B)``: whether each node of the chunk is at or
+    above each level.  A path not hit before the chunk gets ``tau`` = the time of
     its first reaching node.  Returns the mask of new hits and, per level and
     path, the chunk row of the first reaching node.
     """
@@ -288,15 +295,17 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     levels = tasks.tau_levels
     L = len(levels)
     lvl_col = np.asarray(levels, dtype=float)[:, None]
-    Ls = len(tasks.stop_zeta_levels)
     stop_li = [levels.index(lvl) for lvl in tasks.stop_zeta_levels]
     cert_li = [levels.index(lvl) for lvl in tasks.cert_levels]
     cert_lvl = np.asarray(tasks.cert_levels, dtype=float)[:, None, None]
     # ids ascend, so the checked and the field paths are the leading rows
     c = int(np.count_nonzero(ids < tasks.n_check_paths))
     f = int(np.count_nonzero(ids < tasks.n_field_paths))
+    # every other axis comes from the tasks, so that every block joins
     stride = tasks.field_stride
-    S = len(range(0, N + 1, stride)) if (f and stride) else 0
+    S = len(range(0, N + 1, stride)) if (tasks.n_field_paths and stride) else 0
+    G = A - 1 if (tasks.track_gaps and A > 1) else 0
+    Ag = A if girsanov else 0          # alphas of the exponents
     s_arr = np.asarray(tasks.s_grid, dtype=float)
     m = s_arr.size
 
@@ -304,44 +313,41 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     # but slowest in memory, so each mode's column is one contiguous row;
     # the regularized state of every alpha is one (A, B, d) array
     w0 = np.zeros((d, B)).T
-    z = np.tile(model.x0[:, None, None], (1, A, B)).transpose(1, 2, 0) \
-        if integrate else None
+    z = np.tile(model.x0[:, None, None],
+                (1, A if integrate else 0, B)).transpose(1, 2, 0)
     runmax_w0 = np.zeros(B)
-    zeta = np.zeros((2, A, B)) if girsanov else None    # martingale, quadratic
-    zeta_t = np.zeros((2, A, B)) if girsanov and integrate else None
-    tau_h, tau_f = np.full((2, L, B), grid.horizon)     # half and full form
-    hit_h, hit_f = np.zeros((2, L, B), dtype=bool)
-    stopped = np.zeros((Ls, 2, A, B)) if (Ls and girsanov) else None
-    bnames = ("z_half", "z_full", "x_full", "gronwall_sq")
-    bviol = {n: np.zeros((A, c), dtype=np.int64) for n in bnames} if c else {}
-    bmarg = {n: np.full((A, c), np.inf) for n in bnames} if c else {}
-    cert = {n: np.zeros((len(tasks.cert_levels), A, c), dtype=np.int64)
-            for n in ("half", "full")} if (c and tasks.cert_levels) else {}
-    nf = len(MOMENT_FORMS)
-    wviol = np.zeros((nf, Wn, A, c), dtype=np.int64) if (c and Wn) else None
-    wmarg = np.full((nf, Wn, A, c), np.inf) if (c and Wn) else None
+    zeta = np.zeros((2, Ag, B))                     # martingale, quadratic
+    zeta_t = np.zeros((2, Ag if integrate else 0, B))
+    nE, nB, nM = len(ENVELOPE_FORMS), len(BOUND_FORMS), len(MOMENT_FORMS)
+    tau = np.full((nE, L, B), grid.horizon)
+    hit = np.zeros((nE, L, B), dtype=bool)
+    stopped = np.zeros((len(stop_li), 2, Ag, B))
+    bviol = np.zeros((nB, A, c), dtype=np.int64)
+    bmarg = np.full((nB, A, c), np.inf)
+    cert = np.zeros((nE, len(tasks.cert_levels), A, c), dtype=np.int64)
+    wviol = np.zeros((nM, Wn, A, c), dtype=np.int64)
+    wmarg = np.full((nM, Wn, A, c), np.inf)
     wnode, wlhs, wrhs = (np.zeros((Wn, A, c), dtype=np.int64), np.zeros((Wn, A, c)),
-                         np.full((Wn, A, c), np.inf)) if (c and Wn) else (None,) * 3
-    wover = np.zeros((nf, Wn), dtype=np.int64)
-    gaps = np.zeros((A - 1, B)) if (tasks.track_gaps and A > 1) else None
-    fx = np.zeros((A, f, S, d)) if S else None
-    fw0 = np.zeros((f, S, d)) if S else None
-    frm = np.zeros((f, S)) if S else None
-    p0c = np.zeros((N + 1, m), dtype=np.int64) if m else None
+                         np.full((Wn, A, c), np.inf))
+    wover = np.zeros((nM, Wn), dtype=np.int64)
+    gaps = np.zeros((G, B))
+    fx = np.zeros((A, f, S, d))
+    fw0 = np.zeros((f, S, d))
+    frm = np.zeros((f, S))
+    p0c = np.zeros((N + 1, m), dtype=np.int64)
+    env_coef = np.array(list(ENVELOPE_FORMS.values()))[:, None]   # against (2, B)
 
     # chunk buffers: row j holds node chunk_start + j.  The drift bound and
     # the exp-decay envelopes I1, I2 keep one more row in front, the node
     # before the chunk, to carry their recurrences across chunks.
     F = CHUNK_STEPS
     noise = np.empty((B, F, 2, d))
-    r_nw0 = np.empty((F, B))
-    r_nw = np.empty((F, B)) if L else None
-    r_nz, r_nx = np.empty((2, F, A, c)) if integrate and c else (None, None)
-    r_gap = np.empty((F, A - 1, B)) if gaps is not None else None
-    r_zeta = np.empty((F, 2, A, B)) if stopped is not None else None
+    r_nw0, r_nw = np.empty((2, F, B))
+    r_nz, r_nx = np.empty((2, F, A, c))
+    r_gap = np.empty((F, G, B))
+    r_zeta = np.empty((F, 2, A, B)) if (stop_li and girsanov) else None
     need_I = bool(L or c)
-    r_a, r_I1 = np.zeros((2, F + 1, B)) if need_I else (None, None)
-    r_I2 = np.zeros((F + 1, B)) if c else None
+    r_a, r_I1, r_I2 = np.zeros((3, F + 1, B))
     cols = np.arange(c)
 
     # each diagnostic below reads the chunk buffers of nodes s .. s+n-1 and
@@ -349,7 +355,9 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
     # temporaries are freed one diagnostic at a time
 
     def envelopes(s, n, nw0):
-        """I1 and, for the checked paths, I2 at the chunk's nodes.
+        """The ``(n, 2, B)`` transient envelope ``e^{-beta t}|x0| + coef * I1``
+        in the forms of :data:`ENVELOPE_FORMS` and, for the checked paths,
+        I2 at the chunk's nodes.
 
         ``I_k = e^{-beta dt} I_{k-1} + dt/2 (e^{-beta dt} a_{k-1} + a_k)``,
         ``I_0 = 0``, with ``a = drift.bound(|w0|)`` (squared for I2): the
@@ -364,44 +372,37 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                 r_I[j + 1] += inc[j]
             r_I[0] = r_I[n]
         r_a[0] = r_a[n]
-        return r_I1[1:n + 1], (r_I2[1:n + 1, :c] if c else None)
+        env = (xn * ebt[s:s + n])[:, None, None] + env_coef * r_I1[1:n + 1, None]
+        return env, r_I2[1:n + 1, :c]
 
-    def stopping_times(s, n, t, I1, nw):
-        zs_h = (xn * ebt[s:s + n])[:, None] + 0.5 * I1
-        zs_f = zs_h + 0.5 * I1
-        base = mean_norm[s:s + n, None] + nw
-        new, row = _first_hits((zs_h + base)[:, None] >= lvl_col, hit_h, tau_h, t)
-        _first_hits((zs_f + base)[:, None] >= lvl_col, hit_f, tau_f, t)
-        if stopped is None:
+    def stopping_times(s, n, t, env, nw):
+        base = (mean_norm[s:s + n, None] + nw)[:, None]
+        new, row = _first_hits((env + base)[:, :, None] >= lvl_col, hit, tau, t)
+        if r_zeta is None:
             return
         # freeze the exponents of the new half-form hits at their hitting node
         for si, li in enumerate(stop_li):
-            idx = np.flatnonzero(new[li])
+            idx = np.flatnonzero(new[0, li])
             if idx.size:
-                stopped[si][..., idx] = np.moveaxis(r_zeta[row[li, idx], ..., idx], 0, -1)
+                stopped[si][..., idx] = np.moveaxis(r_zeta[row[0, li, idx], ..., idx],
+                                                    0, -1)
 
-    def bound_checks(s, n, I1, I2, nw0):
+    def bound_checks(s, n, env, I2, nw0):
         nz, nx = r_nz[:n], r_nx[:n]
-        e_x = (xn * ebt[s:s + n])[:, None]
-        I1 = I1[:, :c]
-        rhs_f = e_x + I1
-        for name, lhs, rhs in (
-                ("z_half", nz, e_x + 0.5 * I1),
-                ("z_full", nz, rhs_f),
-                ("x_full", nx, rhs_f + nw0[:, :c]),
-                ("gronwall_sq", nz * nz, (xn * xn * ebt[s:s + n])[:, None] + I2 / beta)):
-            _fold_margins((rhs * slack)[:, None] - lhs, bviol[name], bmarg[name])
+        half, full = env[:, 0, :c], env[:, 1, :c]
+        for bi, (lhs, rhs) in enumerate((      # in the order of BOUND_FORMS
+                (nz, half), (nz, full), (nx, full + nw0[:, :c]),
+                (nz * nz, (xn * xn * ebt[s:s + n])[:, None] + I2 / beta))):
+            _fold_margins((rhs * slack)[:, None] - lhs, bviol[bi], bmarg[bi])
 
     def certificates(t, nx):
         # tau after the chunk's update: a path hit at row r has tau = t[r] >=
         # every earlier node, so the test matches the node-by-node one, which
         # saw tau = horizon before the hit
-        lim = (t - 1e-15)[:, None, None]
-        act_h = (tau_h[cert_li, :c] >= lim)[:, :, None]
-        act_f = (tau_f[cert_li, :c] >= lim)[:, :, None]
-        above = nx[:, None] > cert_lvl * slack
-        cert["half"] += np.count_nonzero(act_h & above, axis=0)
-        cert["full"] += np.count_nonzero(act_f & above, axis=0)
+        lim = (t - 1e-15)[:, None, None, None]
+        act = (tau[:, cert_li, :c] >= lim)[..., None, :]      # (n, 2, Lc, 1, c)
+        above = nx[:, None] > cert_lvl * slack                # (n, Lc, A, c)
+        cert[...] += np.count_nonzero(act & above[:, None], axis=0)
 
     def weight_check(wi, s, t, n2, ab2, x2):
         """The weighted moment bound in each form of :data:`MOMENT_FORMS`
@@ -436,13 +437,12 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
         np.maximum(rm, runmax_w0, out=rm)
         runmax_w0[...] = rm[-1]
         if need_I:
-            I1, I2 = envelopes(s, n, nw0)
+            env, I2 = envelopes(s, n, nw0)
         if L:
-            stopping_times(s, n, t, I1, r_nw[:n])
+            stopping_times(s, n, t, env, r_nw[:n])
         if c:
-            bound_checks(s, n, I1, I2, nw0)
-            if cert:
-                certificates(t, r_nx[:n])
+            bound_checks(s, n, env, I2, nw0)
+            certificates(t, r_nx[:n])
             if Wn:
                 a_rm = np.asarray(drift.bound(rm[:, :c]), dtype=float)
                 with np.errstate(over="ignore"):
@@ -456,8 +456,7 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             frm[:, ks // stride] = rm[ks - s, :f].T
         if m:
             p0c[s:s + n] += np.count_nonzero(nw0[:, :, None] > s_arr, axis=1)
-        if gaps is not None:
-            np.maximum(gaps, r_gap[:n].max(axis=0), out=gaps)
+        np.maximum(gaps, r_gap[:n].max(axis=0), out=gaps)
 
     def girsanov_sums(coef, base, dW, acc):
         """Add one step of ``<F/sig, dW>`` and ``|F/sig|^2 dt`` for the
@@ -494,9 +493,9 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
                 if c:
                     norm(z[:, :c], out=r_nz[j])
                     norm(X[:, :c], out=r_nx[j])
-                if gaps is not None:
+                if G:
                     norm(z[:-1] - z[1:], out=r_gap[j])
-                if S and k % stride == 0:
+                if f and S and k % stride == 0:
                     fx[:, :, k // stride] = X[:, :f]
                     fw0[:, k // stride] = w0[:f]
             if r_zeta is not None:
@@ -527,22 +526,20 @@ def _run_block(model: GalerkinModel, drift: Drift, grid: PathGrid,
             w0[...] = w0_next
         flush(s, n)
 
-    if stopped is not None:
-        for si, li in enumerate(stop_li):
-            left = ~hit_h[li]
-            stopped[si][..., left] = zeta[..., left]
+    for si, li in enumerate(stop_li):
+        left = ~hit[0, li]
+        stopped[si][..., left] = zeta[..., left]
 
     return {
         "final_w0": np.ascontiguousarray(w0),
         "w0_max": runmax_w0,
-        "zeta": zeta, "zeta_tilde": zeta_t, "zeta_stopped": stopped,
-        "tau_half": tau_h if L else None, "tau_full": tau_f if L else None,
+        "zeta": zeta, "zeta_tilde": zeta_t, "zeta_stopped": stopped, "tau": tau,
         "bound_viol": bviol, "bound_margin": bmarg, "cert_viol": cert,
         "weight_viol": wviol, "weight_margin": wmarg, "weight_overflow": wover,
         "weight_node": wnode, "weight_lhs": wlhs, "weight_rhs": wrhs,
         "sup_gaps": gaps, "p0_counts": p0c,
         "field_x": fx, "field_w0": fw0, "field_runmax": frm,
-        "z_final": np.ascontiguousarray(z) if integrate and A else None,
+        "z_final": np.ascontiguousarray(z),
     }
 
 
@@ -580,11 +577,8 @@ def _path_order(blocks, limit):
 
 def _cat(vals, order, axis):
     """Join one result array of every block along the path axis, in path-id
-    order (``order`` from :func:`_path_order`); blocks without the array give
-    ``None``.  A single block's array is returned as is, not copied."""
-    vals = [v for v in vals if v is not None]
-    if not vals:
-        return None
+    order (``order`` from :func:`_path_order`).  A single block's array is
+    returned as is, not copied."""
     if len(vals) == 1:
         return vals[0]
     out = np.concatenate(vals, axis=axis)
@@ -631,14 +625,8 @@ def run_ensemble(model: GalerkinModel, drift: Drift, grid: PathGrid,
             raise ValueError(f"block result {key!r} has no join rule")
         axis, paths = rules[key]
         vals = [p[key] for p in parts]
-        if paths == "sum":
-            joined[key] = None if vals[0] is None else np.sum(vals, axis=0)
-        elif isinstance(vals[0], dict):    # empty in a block without checked paths
-            names = next((v for v in vals if v), {})
-            joined[key] = {n: _cat([v.get(n) for v in vals], orders[paths], axis)
-                           for n in names}
-        else:
-            joined[key] = _cat(vals, orders[paths], axis)
+        joined[key] = np.sum(vals, axis=0) if paths == "sum" else \
+            _cat(vals, orders[paths], axis)
 
     return EnsembleResult(
         n_paths=n_paths, alphas=tasks.alphas, grid=grid, tasks=tasks, **joined,

@@ -2,7 +2,7 @@
 
 Each statistic reads the result of one streaming pass: its exponents
 ``log_rho`` and ``log_rho_tilde`` and its half-form stopping times
-``tau_half``.  Stochastic integrals use left-point (non-anticipating) sums,
+``tau[0]``.  Stochastic integrals use left-point (non-anticipating) sums,
 so the discrete stochastic exponential along the unperturbed path is an
 exact mean-one martingale at any step size.  Log-densities are kept in log
 space and only exponentiated inside aggregations, behind overflow masks.
@@ -30,17 +30,19 @@ def _mean_stderr(vals: np.ndarray):
 class MartingaleReport:
     mean: float
     stderr: float
+    overflow: int
 
     @property
     def passed(self) -> bool:
-        return abs(self.mean - 1.0) <= 4.0 * self.stderr + 1e-12
+        return self.overflow == 0 and abs(self.mean - 1.0) <= 4.0 * self.stderr + 1e-12
 
 
 def martingale_check(res: EnsembleResult, alpha_index: int = 0) -> MartingaleReport:
-    """Sample mean of the density must sit within four standard errors of one."""
-    with np.errstate(over="ignore"):
+    """Sample mean of the density must sit within four standard errors of one;
+    a non-finite density is counted in ``overflow`` and fails the report."""
+    with np.errstate(over="ignore", invalid="ignore"):
         rho = np.exp(res.log_rho[alpha_index])
-    return MartingaleReport(*_mean_stderr(rho))
+        return MartingaleReport(*_mean_stderr(rho), int(np.sum(~np.isfinite(rho))))
 
 
 @dataclass
@@ -69,7 +71,7 @@ def stopped_moment_bound(res: EnsembleResult, level: float,
     exponent is bounded by construction; a non-finite value there fails.
     """
     li = list(res.tasks.tau_levels).index(level)
-    keep = res.tau_half[li] >= res.grid.horizon - 1e-15
+    keep = res.tau[0, li] >= res.grid.horizon - 1e-15
     vals = np.zeros(res.n_paths)
     overflow = 0
     if keep.any():

@@ -20,7 +20,7 @@ from . import __version__
 from ._util import sha256_file, write_csv, write_json
 from .config import ExperimentConfig
 from .drifts import norm
-from .engine import EnsembleTasks, run_ensemble
+from .engine import BOUND_FORMS, ENVELOPE_FORMS, EnsembleTasks, run_ensemble
 from .girsanov import (entropy_stability, entropy_statistic, martingale_check,
                        stopped_moment_bound)
 from .ou import fernique_probe, largest_stable_gamma, ou_moments, sample_ou_paths
@@ -75,7 +75,6 @@ class RunState:
     stages_done: list = field(default_factory=list)
     stage_seconds: dict = field(default_factory=dict)   # stage (or "pass") -> s
     result: object = None
-    tail: object = None
     tail_table: object = None
     candidate: object = None
 
@@ -176,10 +175,9 @@ def stage_simulate(state: RunState):
     state.add(Check("ou.fernique_stable_gamma", g_star is not None,
                     g_star or 0.0, f"largest stable gamma = {g_star}"))
 
-    state.tail = p0_from_counts(cfg.s_grid, res.p0_counts, cfg.n_paths)
+    tail = p0_from_counts(cfg.s_grid, res.p0_counts, cfg.n_paths)
     state.emit("p0.csv", ["s", "p0"],
-               [np.asarray(state.tail.s, dtype=float),
-                np.asarray(state.tail.p0, dtype=float)])
+               [np.asarray(tail.s, dtype=float), np.asarray(tail.p0, dtype=float)])
 
     paths = sample_ou_paths(model, grid, min(N_DUMP_PATHS, cfg.n_paths),
                             cfg.master_seed)
@@ -203,33 +201,30 @@ def stage_sweep(state: RunState):
     res = ensure_ensemble(state)
     state.say("stage sweep")
     A = len(cfg.alphas)
-    nc = res.bound_viol["z_half"].shape[1]
+    nc = res.bound_viol.shape[2]
 
     # one row per (alpha, path); the finest alpha has no next gap, and only
     # the first nc paths carry bound violations
     P = cfg.n_paths
     gap = np.full((A, P), np.nan)
-    gap[:A - 1] = res.sup_gaps[:A - 1]
+    gap[:A - 1] = res.sup_gaps
     bv = np.full((A, P), "", dtype=object)
-    bv[:, :nc] = (res.bound_viol["z_full"] + res.bound_viol["x_full"]
-                  + res.bound_viol["gronwall_sq"]).astype(np.int64)
-    tau = np.asarray(res.tau_half, dtype=float)
+    bv[:, :nc] = res.bound_viol[1:].sum(axis=0)
     state.emit("sweep.csv",
                ["alpha", "path_id", "sup_gap_to_next_alpha", "bound_violations"]
                + [f"tau_{l}" for l in cfg.tau_levels],
                [np.repeat(np.asarray(cfg.alphas, dtype=float), P),
                 np.tile(np.arange(P), A), gap.reshape(-1), bv.reshape(-1),
-                *(np.tile(tau[li], A) for li in range(len(cfg.tau_levels)))])
+                *(np.tile(row, A) for row in res.tau[0])])
 
-    for name, stated in (("z_half", True), ("z_full", False), ("x_full", False),
-                         ("gronwall_sq", False)):
-        viol = int(res.bound_viol[name].sum())
-        worst = float(res.bound_margin[name].min())
-        label = "stated form" if name == "z_half" else ""
+    for bi, name in enumerate(BOUND_FORMS):
+        viol = int(res.bound_viol[bi].sum())
+        worst = float(res.bound_margin[bi].min())
+        label = "stated form" if bi == 0 else ""
         state.add(Check(f"bounds.{name}", bound_gate(viol, worst), worst,
                         f"{viol} node violations over {nc} paths {label}"))
-    for form in ("half", "full"):
-        viol = int(res.cert_viol[form].sum())
+    for fi, form in enumerate(ENVELOPE_FORMS):
+        viol = int(res.cert_viol[fi].sum())
         state.add(Check(f"bounds.level_cert_{form}", viol == 0,
                         -float(viol), f"{viol} violations (slacked)"))
 
@@ -266,24 +261,22 @@ def stage_phi(state: RunState):
     res = ensure_ensemble(state)
     state.say("stage phi-check")
     A = len(cfg.alphas)
-    nc = res.weight_viol.shape[3] if res.weight_viol is not None else 0
+    nc = res.weight_viol.shape[3]
     tags = ["" if form == "stated" else f"{form}_" for form in MOMENT_FORMS]
     for wi, w in enumerate(cfg.weights):
         # one row per (alpha, path): the node attaining the smallest margin
-        name = w.kind if w.kind != "power" else f"power{w.p:g}"
-        state.emit(f"phi_bounds_{name}.csv",
+        state.emit(f"phi_bounds_{w.name}.csv",
                    ["path_id", "alpha", "node", "lhs", "rhs", "pass"],
                    [np.tile(np.arange(nc), A),
                     np.repeat(np.asarray(cfg.alphas, dtype=float), nc),
-                    res.weight_node[wi, :, :nc].astype(np.int64).reshape(-1),
-                    np.asarray(res.weight_lhs[wi, :, :nc], dtype=float).reshape(-1),
-                    np.asarray(res.weight_rhs[wi, :, :nc], dtype=float).reshape(-1),
-                    (res.weight_viol[0, wi, :, :nc] == 0).reshape(-1)])
+                    *(a[wi].reshape(-1) for a in (res.weight_node, res.weight_lhs,
+                                                  res.weight_rhs)),
+                    (res.weight_viol[0, wi] == 0).reshape(-1)])
         for fi, (form, tag) in enumerate(zip(MOMENT_FORMS, tags)):
             viol = int(res.weight_viol[fi, wi].sum())
             worst = float(res.weight_margin[fi, wi].min())
             over = int(res.weight_overflow[fi, wi])
-            state.add(Check(f"phi.bound_{tag}{name}", bound_gate(viol, worst),
+            state.add(Check(f"phi.bound_{tag}{w.name}", bound_gate(viol, worst),
                             worst, f"{form} form; {viol} node violations, "
                             f"{over} overflow nodes"))
 
@@ -295,7 +288,7 @@ def stage_phi(state: RunState):
                     state.candidate, res.field_w0, res.field_runmax,
                     res.snap_times, cfg.model.x0, w, cfg.model.beta,
                     cfg.drift.bound, cfg.grid.dt, k_scale=k)
-                state.add(Check(f"phi.bound_candidate_{tag}{w.kind}",
+                state.add(Check(f"phi.bound_candidate_{tag}{w.name}",
                                 bound_gate(rep.violations, rep.worst_margin),
                                 rep.worst_margin,
                                 f"{rep.violations} violations on candidate"))
@@ -354,14 +347,13 @@ def stage_girsanov(state: RunState):
     # one row per (alpha, path)
     A, P = len(cfg.alphas), cfg.n_paths
     lr = np.asarray(res.log_rho, dtype=float).reshape(-1)
-    tau = np.asarray(res.tau_half, dtype=float)
     state.emit("density.csv",
                ["path_id", "alpha", "zeta_T", "log_rho", "log_rho_tilde"]
                + [f"tau_{l}" for l in cfg.tau_levels],
                [np.tile(np.arange(P), A),
                 np.repeat(np.asarray(cfg.alphas, dtype=float), P), lr, lr,
                 np.asarray(res.log_rho_tilde, dtype=float).reshape(-1),
-                *(np.tile(tau[li], A) for li in range(len(cfg.tau_levels)))])
+                *(np.tile(row, A) for row in res.tau[0])])
 
     mart = [martingale_check(res, ai) for ai in range(A)]
     all_pass = all(r.passed for r in mart)
@@ -460,16 +452,16 @@ def stage_psi(state: RunState):
                     - rep_env.value,
                     f"integral={rep_env.value:.4f} bound={rep_env.bound:.4f}"))
 
-    if state.tail is not None:
-        growth = getattr(cfg.drift, "growth", None)
-        if growth is not None and growth.power > 0:
-            inv = lambda v: np.power(np.maximum(np.asarray(v, dtype=float), 0.0)
-                                     / growth.coef, 1.0 / (growth.power + 1.0))
-            fit = admissibility_chain_fit(state.tail, inv,
-                                          ClosedFormWeight(cfg.psi_delta), tt.y)
-            state.add(Check("psi.chain_fit", True, fit.worst_margin,
-                            f"C=({fit.c1:.3g},{fit.c2:.3g},{fit.c3:.3g}) "
-                            f"held on {fit.fraction_held:.0%} of grid (reported)"))
+    growth = getattr(cfg.drift, "growth", None)
+    if growth is not None and growth.power > 0:
+        inv = lambda v: np.power(np.maximum(np.asarray(v, dtype=float), 0.0)
+                                 / growth.coef, 1.0 / (growth.power + 1.0))
+        tail = p0_from_counts(cfg.s_grid, ensure_ensemble(state).p0_counts,
+                              cfg.n_paths)
+        fit = admissibility_chain_fit(tail, inv, ClosedFormWeight(cfg.psi_delta), tt.y)
+        state.add(Check("psi.chain_fit", True, fit.worst_margin,
+                        f"C=({fit.c1:.3g},{fit.c2:.3g},{fit.c3:.3g}) "
+                        f"held on {fit.fraction_held:.0%} of grid (reported)"))
     state.stages_done.append("psi")
 
 

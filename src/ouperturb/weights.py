@@ -40,6 +40,11 @@ class WeightFunction:
             raise ValueError("power weight needs exponent >= 1")
 
     @property
+    def name(self) -> str:
+        """The weight in check ids and file names: ``power<p>`` or the kind."""
+        return f"power{self.p:g}" if self.kind == "power" else self.kind
+
+    @property
     def ratio_limit(self) -> float:
         if self.kind == "power":
             return self.p

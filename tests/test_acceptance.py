@@ -28,7 +28,7 @@ from ouperturb import (GalerkinModel, PathGrid, estimate_constant,
                        martingale_check, ou_moments, stopped_moment_bound,
                        validate_model, wilson_interval)
 from ouperturb.drifts import resolvent_residual
-from ouperturb.engine import EnsembleTasks, run_ensemble
+from ouperturb.engine import BOUND_FORMS, EnsembleTasks, run_ensemble
 from ouperturb.girsanov import entropy_stability, entropy_statistic
 from ouperturb.model import semigroup_apply
 from ouperturb.pseudoweak import BallCompression, TestMeasureGrid, \
@@ -214,9 +214,9 @@ def _bound_stats(res, names):
     fails here: ``NaN < 0`` is False, so a NaN run would count 0 violations."""
     out = {}
     for n in names:
-        worst = float(res.bound_margin[n].min())
+        worst = float(res.bound_margin[BOUND_FORMS.index(n)].min())
         assert np.isfinite(worst), f"{n}: non-finite worst margin {worst}"
-        out[n] = (int(res.bound_viol[n].sum()), worst)
+        out[n] = (int(res.bound_viol[BOUND_FORMS.index(n)].sum()), worst)
     return out
 
 
@@ -464,7 +464,7 @@ def test_c6_stopped_moment(eng_full):
                           tau_levels=tuple(range(9)))
     ens = run_ensemble(MODEL, zero, grid, tasks, 2000, SEED)
     lvl = 8
-    never_hit = bool(np.all(ens.tau_half[8] == 1.0))
+    never_hit = bool(np.all(ens.tau[0, 8] == 1.0))
     rep = stopped_moment_bound(ens, lvl, MODEL, zero)
     announce(never_hit and rep.estimate == 1.0 and rep.bound == 1.0,
              "criterion 6b zero-drift equality case",

@@ -59,12 +59,12 @@ def test_engine_matches_stored_ops(model4, grid, pair):
                 pytest.approx(res.log_rho_tilde[ai, pid], rel=1e-11, abs=1e-13)
         sol = integrate_Z(model4, drift, TASKS.alphas[0], p)
         rec = stopping_time(sol, model4, drift, 2)
-        assert rec.tau == res.tau_half[2, pid]
+        assert rec.tau == res.tau[0, 2, pid]
         if pid < TASKS.n_check_paths:
             rep = check_pathwise_bound(sol, model4, drift)
             assert rep.z_half.worst_margin == \
-                pytest.approx(res.bound_margin["z_half"][0, pid], rel=1e-9)
-            assert rep.z_half.violations == res.bound_viol["z_half"][0, pid]
+                pytest.approx(res.bound_margin[0, 0, pid], rel=1e-9)
+            assert rep.z_half.violations == res.bound_viol[0, 0, pid]
             wrep = check_moment_bound(sol, model4, drift,
                                       make_weight("power", 2.0))
             assert wrep.worst_margin == \
@@ -102,15 +102,20 @@ def test_engine_sup_gaps_match_stored(model4, grid, pair):
 
 
 def test_join_rules_name_every_result_array(model4, grid):
-    # every array or dict of arrays in the result declares its join rule, and
-    # a block that runs every task returns exactly the fields with a rule
+    # every array in the result declares its join rule, and a block that
+    # runs every task returns exactly the fields with a rule
     ruled = {f.name for f in fields(engine.EnsembleResult) if "join" in f.metadata}
-    arrays = {f.name for f in fields(engine.EnsembleResult)
-              if "ndarray" in f.type or f.type == "dict"}
+    arrays = {f.name for f in fields(engine.EnsembleResult) if "ndarray" in f.type}
     assert ruled == arrays
     out = engine._run_block(model4, CUBIC, grid, TASKS, 99, np.arange(12))
     assert set(out) == ruled
-    assert all(out[name] is not None and len(out[name]) for name in ruled)
+    assert all(isinstance(out[name], np.ndarray) and out[name].size
+               for name in ruled)
+    # a joined pass gives every output as an array, also where no task asked
+    # for it
+    for tasks in (TASKS, EnsembleTasks(alphas=TASKS.alphas, girsanov=True)):
+        res = run_ensemble(model4, CUBIC, grid, tasks, 12, 99, block_size=5)
+        assert all(isinstance(getattr(res, name), np.ndarray) for name in ruled)
 
 
 def test_join_rejects_unnamed_block_result(model4, monkeypatch):
@@ -152,7 +157,7 @@ def test_engine_blocking_and_worker_invariance(model4, grid):
     for drift in (SAT, CUBIC, TMOD):
         base = run_ensemble(model4, drift, grid, TASKS, 12, 99)
         ref = result_arrays(base)
-        assert "field_x" in ref and "weight_node" in ref and "bound_viol.z_half" in ref
+        assert "field_x" in ref and "weight_node" in ref and "bound_viol" in ref
         for block_size, n_workers in ((5, 1), (5, 2), (4, 1), (4, 2), (3, 1)):
             other = run_ensemble(model4, drift, grid, TASKS, 12, 99,
                                  block_size=block_size, n_workers=n_workers)
@@ -162,12 +167,18 @@ def test_engine_blocking_and_worker_invariance(model4, grid):
 
         if drift is CUBIC:
             # more field paths than checked ones: the field rows of the
-            # blocks interleave, and the join permutes them too
-            tasks = replace(TASKS, n_check_paths=2, n_field_paths=7)
-            assert_same_arrays(
-                result_arrays(run_ensemble(model4, drift, grid, tasks, 12, 99)),
-                result_arrays(run_ensemble(model4, drift, grid, tasks, 12, 99,
-                                           block_size=5)))
+            # blocks interleave, and the join permutes them too.  In blocks
+            # of 3 with 2 checked and 2 field paths, blocks 0 and 2 hold
+            # neither, and their checked and field outputs have no rows
+            for n_field, block_size, checked in ((7, 5, [0, 1, 1]),
+                                                 (2, 3, [0, 1, 0, 1])):
+                tasks = replace(TASKS, n_check_paths=2, n_field_paths=n_field)
+                other = run_ensemble(model4, drift, grid, tasks, 12, 99,
+                                     block_size=block_size)
+                assert [b[1] for b in other.blocks] == checked
+                assert_same_arrays(
+                    result_arrays(run_ensemble(model4, drift, grid, tasks, 12, 99)),
+                    result_arrays(other), block_size)
 
         # alpha = 0.03 alone reproduces row 1 of the (0.1, 0.03) run
         one = run_ensemble(model4, drift, grid, replace(TASKS, alphas=(0.03,)),
@@ -180,22 +191,14 @@ def test_engine_blocking_and_worker_invariance(model4, grid):
         assert np.array_equal(one.field_x[0], base.field_x[1])
         assert np.array_equal(one.weight_margin[:, :, 0],
                               base.weight_margin[:, :, 1])
-        for name in base.bound_viol:
-            assert np.array_equal(one.bound_viol[name][0], base.bound_viol[name][1])
-            assert np.array_equal(one.bound_margin[name][0],
-                                  base.bound_margin[name][1])
+        assert np.array_equal(one.bound_viol[:, 0], base.bound_viol[:, 1])
+        assert np.array_equal(one.bound_margin[:, 0], base.bound_margin[:, 1])
 
 
 def result_arrays(res):
-    """Every array of an ``EnsembleResult``, by field (and dict key)."""
-    out = {}
-    for fd in fields(res):
-        v = getattr(res, fd.name)
-        if isinstance(v, np.ndarray):
-            out[fd.name] = v
-        elif isinstance(v, dict):
-            out.update({f"{fd.name}.{k}": a for k, a in v.items()})
-    return out
+    """Every array of an ``EnsembleResult``, by field."""
+    return {fd.name: getattr(res, fd.name) for fd in fields(res)
+            if isinstance(getattr(res, fd.name), np.ndarray)}
 
 
 def assert_same_arrays(ref, other, tag=None):
@@ -219,8 +222,7 @@ def test_engine_chunk_length_invariance(model4, grid, monkeypatch):
         runs[chunk] = result_arrays(run_ensemble(model4, CUBIC, grid, tasks, 12, 99))
     base = runs.pop(1)
     for name in ("weight_node", "weight_lhs", "weight_rhs", "zeta_stopped",
-                 "cert_viol.half", "cert_viol.full",
-                 "p0_counts", "field_runmax", "w0_max", "tau_full"):
+                 "cert_viol", "p0_counts", "field_runmax", "w0_max", "tau"):
         assert name in base
     for chunk, other in runs.items():
         assert_same_arrays(base, other, chunk)
@@ -290,7 +292,7 @@ def test_engine_girsanov_only_matches_stored_ops(model4, grid):
 def test_engine_stopped_exponent_frozen_at_tau(model4, grid):
     res = run_ensemble(model4, CUBIC, grid, TASKS, 12, 99)
     p = sample_ou_path(model4, grid, 99, path_index=4)
-    tau = res.tau_half[2, 4]
+    tau = res.tau[0, 2, 4]
     expect = zeta(p, CUBIC, 0.1, model4, t_end=float(tau))
     assert res.stopped_log_rho[0, 0, 4] == pytest.approx(expect, rel=1e-11)
 

@@ -94,7 +94,7 @@ def test_statistics_read_the_pass_result(model4):
     lr = res.log_rho
     assert res.log_rho is lr
     assert np.array_equal(lr, res.zeta[0] - 0.5 * res.zeta[1])
-    assert res.log_rho_tilde is None and res.stopped_log_rho is None
+    assert res.log_rho_tilde.size == 0 and res.stopped_log_rho.size == 0
 
 
 def test_martingale_zero_drift_exact(model4):
@@ -140,7 +140,7 @@ def test_stopped_moment_zero_drift_equality(model4):
     ens = _ensemble(model4, ZERO, n_paths=500, n_steps=200, alphas=(0.5, 0.1))
     # pick a level the threshold never reaches; estimate and bound both one
     lvl = 6
-    assert np.all(ens.tau_half[list(ens.tasks.tau_levels).index(lvl)] == 1.0)
+    assert np.all(ens.tau[0, list(ens.tasks.tau_levels).index(lvl)] == 1.0)
     rep = stopped_moment_bound(ens, lvl, model4, ZERO)
     assert rep.estimate == 1.0 and rep.bound == 1.0 and rep.passed
 

@@ -12,6 +12,7 @@ import pytest
 from ouperturb import cli, harness
 from ouperturb._util import CSV_BLOCK_ROWS, fmt, sha256_file, write_csv
 from ouperturb.config import ConfigError, load_config, parse_config
+from ouperturb.girsanov import martingale_check
 from ouperturb.harness import (ensure_ensemble, make_state, run_stages,
                                stage_girsanov, stage_phi, stage_sweep)
 from ouperturb.ou import sample_ou_paths
@@ -282,7 +283,7 @@ def test_zero_drift_only_stated_weight_checks_fail(zero_run):
     manifest = json.loads((out / "manifest.json").read_text())
     failing = {c["id"] for c in manifest["checks"] if not c["pass"]}
     assert failing <= {"phi.bound_power2", "phi.bound_exponential",
-                       "phi.bound_xlog", "phi.bound_candidate_power",
+                       "phi.bound_xlog", "phi.bound_candidate_power2",
                        "phi.bound_candidate_exponential",
                        "phi.bound_candidate_xlog"}
     assert r.returncode == 1
@@ -304,6 +305,30 @@ def test_compare_runs_script(zero_run, tmp_path):
     r = subprocess.run(compare, capture_output=True, text=True)
     assert r.returncode == 1
     assert r.stdout.splitlines() == ["p0.csv: bytes differ"]
+
+
+def test_dimension_sweep_script():
+    # the script reads the result of a pass that asks for no task
+    r = subprocess.run([sys.executable, str(ROOT / "scripts" / "dimension_sweep.py"),
+                        "--dims", "2", "--paths", "50", "--steps", "16"],
+                       capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 2 and lines[1].split()[0] == "2"
+    assert float(lines[1].split()[1]) > 0
+
+
+def test_psi_subcommand_writes_the_psi_rows_of_all(tmp_path):
+    # the psi stage reads the pass itself, not what an earlier stage kept
+    rows = {}
+    for cmd in ("psi", "all"):
+        out = tmp_path / cmd
+        run_cli(cmd, "--config", str(SMOKE), "--out", str(out), "--paths", "64",
+                "--quiet")
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        rows[cmd] = [c for c in checks if c["id"].startswith("psi.")]
+    assert "psi.chain_fit" in {c["id"] for c in rows["psi"]}
+    assert rows["psi"] == rows["all"]
 
 
 def test_all_checks_pass_without_weight_stage(tmp_path):
@@ -455,8 +480,9 @@ def test_nan_margin_fails_bound_gates(cached_state):
     res = cached_state.result
     clean = run_stage(cached_state, stage_sweep, res)
     assert clean["bounds.z_full"].passed
-    doctored = replace(res, bound_margin={**res.bound_margin,
-                                          "z_full": with_nan(res.bound_margin["z_full"])})
+    # row 1 of the form axis is z_full
+    doctored = replace(res, bound_margin=with_nan(res.bound_margin,
+                                                  res.bound_margin[0].size + 3))
     checks = run_stage(cached_state, stage_sweep, doctored)
     assert "0 node violations" in checks["bounds.z_full"].detail
     assert not checks["bounds.z_full"].passed
@@ -480,12 +506,12 @@ def test_nan_margin_fails_bound_gates(cached_state):
     sweep.result = res
     stage_sweep(sweep)
     clean = run_stage(cached_state, stage_phi, res, sweep.candidate)
-    assert clean["phi.bound_candidate_derived_power"].passed
+    assert clean["phi.bound_candidate_derived_power2"].passed
     checks = run_stage(cached_state, stage_phi, res,
                        with_nan(sweep.candidate, 5))
-    assert not checks["phi.bound_candidate_derived_power"].passed
-    assert np.isnan(checks["phi.bound_candidate_derived_power"].margin)
-    assert "1 violations" in checks["phi.bound_candidate_derived_power"].detail
+    assert not checks["phi.bound_candidate_derived_power2"].passed
+    assert np.isnan(checks["phi.bound_candidate_derived_power2"].margin)
+    assert "1 violations" in checks["phi.bound_candidate_derived_power2"].detail
 
 
 def test_overflow_fails_entropy_two_route(cached_state):
@@ -502,13 +528,48 @@ def test_overflow_fails_entropy_two_route(cached_state):
     assert [r.split(",")[-1] for r in rows] == ["0"] + ["1"] * (len(rows) - 1)
 
 
+def test_overflow_fails_martingale(cached_state):
+    # an overflowing density fails the row by its overflow count, not
+    # through NaN arithmetic, and raises no warning
+    res = cached_state.result
+    assert run_stage(cached_state, stage_girsanov, res)["girsanov.martingale"].passed
+    zeta = res.zeta.copy()
+    zeta[0, 0, 3] = 1e6
+    doctored = replace(res, zeta=zeta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = martingale_check(doctored, 0)
+        checks = run_stage(cached_state, stage_girsanov, doctored)
+    assert rep.overflow == 1 and not rep.passed
+    assert martingale_check(doctored, 1).passed
+    assert not checks["girsanov.martingale"].passed
+
+
+def test_nan_field_fails_weak_limit_rows(cached_state):
+    # a NaN field point is a limsup violation with a NaN margin, and its gap
+    # reaches the gap sequence
+    res = cached_state.result
+    clean = run_stage(cached_state, stage_sweep, res)
+    assert clean["pseudoweak.limsup"].passed
+    assert clean["pseudoweak.gap_sequence_decreasing"].passed
+    fx = res.field_x.copy()
+    fx[0, 5, 100, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = run_stage(cached_state, stage_sweep, replace(res, field_x=fx))
+    assert not checks["pseudoweak.limsup"].passed
+    assert np.isnan(checks["pseudoweak.limsup"].margin)
+    assert checks["pseudoweak.limsup"].detail.startswith("1 violations")
+    assert not checks["pseudoweak.gap_sequence_decreasing"].passed
+
+
 def test_overflow_fails_stopped_moment(cached_state):
     # a kept path whose transformed density overflows fails its cell by its
     # overflow count, not through NaN arithmetic, and raises no warning
     res = cached_state.result
     clean = run_stage(cached_state, stage_girsanov, res)
     assert clean["girsanov.stopped_moment"].passed
-    kept = res.tau_half >= res.grid.horizon - 1e-15
+    kept = res.tau[0] >= res.grid.horizon - 1e-15
     path = np.flatnonzero(kept[-1])[0]
     zt = res.zeta_tilde.copy()
     zt[0, 0, path] = 1e6

@@ -21,6 +21,12 @@ def test_catalog_shape_constraints():
         assert np.all(np.diff(w.deriv(u)) >= 0)     # convex
 
 
+def test_weight_names_tell_powers_apart():
+    # the check ids and file names of two power weights must differ
+    assert [w.name for w in ALL] == ["power2", "exponential", "xlog", "power1"]
+    assert make_weight("power", 1.5).name == "power1.5"
+
+
 def test_ratio_limits():
     # u w'(u)/w(u) approaches the declared limit
     assert POWER2.ratio_limit == 2.0
