@@ -17,7 +17,7 @@ from .ou import (PathGrid, SamplePath, fernique_probe, largest_stable_gamma,
                  ou_moments, sample_ou_paths)
 from .weights import WeightFunction, estimate_constant, make_weight
 from .girsanov import entropy_statistic, martingale_check, stopped_moment_bound
-from .pseudoweak import (BallCompression, TestMeasureGrid, cesaro_limit,
+from .pseudoweak import (TestMeasureGrid, cesaro_limit, compress, decompress,
                          limsup_check, weak_gap)
 from .tails import (BumpSumWeight, ClosedFormWeight, EnvelopeWeight,
                     MollifiedWeight, TabulatedTail, build_bump_weight,

@@ -241,7 +241,6 @@ class Drift:
     """Common surface of the drift catalog."""
 
     kind = "abstract"
-    time_dependent = False
 
     def minimal_section(self, t, x):
         raise NotImplementedError
@@ -428,7 +427,6 @@ class TimeModulatedDrift(Drift):
     base: Drift = field(default_factory=lambda: RadialDrift())
     modulation: Modulation = field(default_factory=Modulation)
     kind = "time_modulated"
-    time_dependent = True
 
     def _m(self, t, like):
         m = np.asarray(self.modulation(t), dtype=float)

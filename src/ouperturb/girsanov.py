@@ -17,13 +17,8 @@ import numpy as np
 from .drifts import Drift
 from .engine import EnsembleResult
 from .model import GalerkinModel
+from .ou import mean_stderr
 from .tails import level_y
-
-
-def _mean_stderr(vals: np.ndarray):
-    m = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-    return m, se
 
 
 @dataclass
@@ -36,13 +31,24 @@ class MartingaleReport:
     def passed(self) -> bool:
         return self.overflow == 0 and abs(self.mean - 1.0) <= 4.0 * self.stderr + 1e-12
 
+    @property
+    def margin(self) -> float:
+        """``4 - |mean - 1|/stderr``; with stderr 0, 4 on a mean within the
+        verdict's 1e-12 floor of one.  Any other mean with stderr 0, an
+        overflow or a non-finite statistic scores ``-inf``."""
+        gap = abs(self.mean - 1.0)
+        if self.overflow or not np.isfinite(gap + self.stderr) \
+                or (self.stderr == 0 and gap > 1e-12):
+            return -np.inf
+        return 4.0 - gap / self.stderr if self.stderr > 0 else 4.0
+
 
 def martingale_check(res: EnsembleResult, alpha_index: int = 0) -> MartingaleReport:
     """Sample mean of the density must sit within four standard errors of one;
     a non-finite density is counted in ``overflow`` and fails the report."""
     with np.errstate(over="ignore", invalid="ignore"):
         rho = np.exp(res.log_rho[alpha_index])
-        return MartingaleReport(*_mean_stderr(rho), int(np.sum(~np.isfinite(rho))))
+        return MartingaleReport(*mean_stderr(rho), int(np.sum(~np.isfinite(rho))))
 
 
 @dataclass
@@ -81,7 +87,7 @@ def stopped_moment_bound(res: EnsembleResult, level: float,
         vals[keep] = ex
     a_n = float(np.asarray(drift.bound(np.asarray(float(level)))))
     with np.errstate(over="ignore", invalid="ignore"):
-        m, se = _mean_stderr(vals)
+        m, se = mean_stderr(vals)
         bound = float(level_y(a_n, model.inv_sigma_norm, model.horizon))
     return StoppedMomentReport(m, se, bound, int(np.sum(keep)), overflow)
 
@@ -120,8 +126,8 @@ def entropy_statistic(res: EnsembleResult, weight,
         r1 = np.exp(lr) * np.asarray(weight.value_from_log(lr))
         r2 = np.asarray(weight.value_from_log(res.log_rho_tilde[alpha_index]))
     overflow = int(np.sum(~np.isfinite(r1)) + np.sum(~np.isfinite(r2)))
-    m1, s1 = _mean_stderr(r1[np.isfinite(r1)]) if np.isfinite(r1).any() else (np.inf, 0)
-    m2, s2 = _mean_stderr(r2[np.isfinite(r2)]) if np.isfinite(r2).any() else (np.inf, 0)
+    m1, s1 = mean_stderr(r1[np.isfinite(r1)]) if np.isfinite(r1).any() else (np.inf, 0)
+    m2, s2 = mean_stderr(r2[np.isfinite(r2)]) if np.isfinite(r2).any() else (np.inf, 0)
     return TwoRouteReport(m1, s1, m2, s2, overflow)
 
 

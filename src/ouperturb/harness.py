@@ -176,8 +176,7 @@ def stage_simulate(state: RunState):
                     g_star or 0.0, f"largest stable gamma = {g_star}"))
 
     tail = p0_from_counts(cfg.s_grid, res.p0_counts, cfg.n_paths)
-    state.emit("p0.csv", ["s", "p0"],
-               [np.asarray(tail.s, dtype=float), np.asarray(tail.p0, dtype=float)])
+    state.emit("p0.csv", ["s", "p0"], [tail.y, tail.p])
 
     paths = sample_ou_paths(model, grid, min(N_DUMP_PATHS, cfg.n_paths),
                             cfg.master_seed)
@@ -356,14 +355,11 @@ def stage_girsanov(state: RunState):
                 *(np.tile(row, A) for row in res.tau[0])])
 
     mart = [martingale_check(res, ai) for ai in range(A)]
-    all_pass = all(r.passed for r in mart)
-    worst = min([4.0] + [4.0 - abs(r.mean - 1.0) / r.stderr
-                         for r in mart if r.stderr > 0])
     state.emit("martingale.csv", ["alpha", "mean", "stderr", "pass"],
                [cfg.alphas, [r.mean for r in mart], [r.stderr for r in mart],
                 [r.passed for r in mart]])
-    state.add(Check("girsanov.martingale", bool(all_pass), float(worst),
-                    f"{len(cfg.alphas)} alphas"))
+    state.add(Check("girsanov.martingale", all(r.passed for r in mart),
+                    min(r.margin for r in mart), f"{len(cfg.alphas)} alphas"))
 
     cells = [(lvl, a, stopped_moment_bound(res, lvl, cfg.model, cfg.drift, ai))
              for ai, a in enumerate(cfg.alphas)
@@ -382,9 +378,8 @@ def stage_girsanov(state: RunState):
                     cfg.tau_levels, cfg.drift.bound,
                     cfg.model.inv_sigma_norm, cfg.model.horizon)
     state.emit("p_table.csv", ["y", "n_of_y", "p", "p_rearranged", "p_upper"],
-               [np.asarray(tt.y, dtype=float), tt.level.astype(np.int64),
-                *(np.asarray(c, dtype=float)
-                  for c in (tt.p, tt.p_rearranged, tt.p_upper))])
+               [tt.y, tt.level.astype(np.int64), tt.p, tt.p_rearranged,
+                tt.p_upper])
     ok = bool(np.all(tt.p <= 1.0 + 1e-12)
               and np.all(tt.p >= 1.0 / tt.y - 1e-12))
     state.add(Check("girsanov.tail_table", ok,
@@ -413,19 +408,16 @@ def stage_girsanov(state: RunState):
 def stage_psi(state: RunState):
     cfg = state.cfg
     state.say("stage psi")
-    if state.tail_table is None:
-        stage_girsanov(state)
     tt = state.tail_table
-    tabfn = TabulatedTail(tuple(tt.y), tuple(tt.p_upper))
+    tabfn = TabulatedTail(tt.y, tt.p_upper)
 
-    bump, info = build_bump_weight(tt.y, tt.p_upper)
+    bump = build_bump_weight(tt.y, tt.p_upper)
     rep_bump = check_weight_integral(bump, tabfn, float(tt.y[-1]),
-                                     series_bound=info.series_bound)
-    state.add(Check("psi.bump_integral_finite",
-                    bool(rep_bump.passed) if rep_bump.passed is not None else False,
-                    (rep_bump.bound or 0.0) - rep_bump.value,
-                    f"integral={rep_bump.value:.4g} knots={info.k_max} "
-                    f"truncated={info.truncated}"))
+                                     series_bound=bump.series_bound)
+    state.add(Check("psi.bump_integral_finite", rep_bump.passed,
+                    rep_bump.bound - rep_bump.value,
+                    f"integral={rep_bump.value:.4g} knots={len(bump.knots)} "
+                    f"truncated={bump.truncated}"))
 
     weights = {
         "closed_form": ClosedFormWeight(cfg.psi_delta),
@@ -434,21 +426,17 @@ def stage_psi(state: RunState):
         "mollified": MollifiedWeight(tabfn, delta=0.05),
     }
     for name, wt in weights.items():
-        ys = tt.y
         with np.errstate(over="ignore", divide="ignore"):
-            vals = wt.value(ys)
-            derivs = wt.deriv(ys)
+            vals = np.asarray(wt.value(tt.y), dtype=float)
+            derivs = np.asarray(wt.deriv(tt.y), dtype=float)
         state.emit(f"psi_{name}.csv", ["y", "p", "n_of_y", "psi", "psi_prime"],
-                   [np.asarray(ys, dtype=float), np.asarray(tt.p, dtype=float),
-                    tt.level.astype(np.int64), np.asarray(vals, dtype=float),
-                    np.asarray(derivs, dtype=float)])
+                   [tt.y, tt.p, tt.level.astype(np.int64), vals, derivs])
         mono = bool(np.all(np.diff(vals) >= -1e-12))
         state.add(Check(f"psi.monotone_{name}", mono, 0.0, ""))
 
-    rep_env = check_weight_integral(weights["envelope"], tabfn, float(tt.y[-1]),
-                                    envelope_like=True)
-    state.add(Check("psi.envelope_integral", bool(rep_env.passed),
-                    (rep_env.bound or 0) * (1 + 1e-3) + rep_env.tail_remainder
+    rep_env = check_weight_integral(weights["envelope"], tabfn, float(tt.y[-1]))
+    state.add(Check("psi.envelope_integral", rep_env.passed,
+                    rep_env.bound * (1 + 1e-3) + rep_env.tail_remainder
                     - rep_env.value,
                     f"integral={rep_env.value:.4f} bound={rep_env.bound:.4f}"))
 
@@ -460,7 +448,7 @@ def stage_psi(state: RunState):
                               cfg.n_paths)
         fit = admissibility_chain_fit(tail, inv, ClosedFormWeight(cfg.psi_delta), tt.y)
         state.add(Check("psi.chain_fit", True, fit.worst_margin,
-                        f"C=({fit.c1:.3g},{fit.c2:.3g},{fit.c3:.3g}) "
+                        f"C=({fit.c1:.3g},{fit.c2:.3g},1) "
                         f"held on {fit.fraction_held:.0%} of grid (reported)"))
     state.stages_done.append("psi")
 

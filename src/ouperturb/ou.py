@@ -153,6 +153,13 @@ def ou_moments(model: GalerkinModel, t: float):
     return semigroup_apply(model, t, model.x0), convolution_variance(model, t)
 
 
+def mean_stderr(vals: np.ndarray):
+    """Sample mean and its standard error (0 for fewer than two values)."""
+    m = float(np.mean(vals))
+    se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+    return m, se
+
+
 @dataclass
 class FerniqueRow:
     gamma: float
@@ -178,8 +185,7 @@ def fernique_probe(maxima, gamma_grid) -> list[FerniqueRow]:
         if not np.all(np.isfinite(vals)):
             rows.append(FerniqueRow(float(gamma), float("inf"), float("inf"), False))
             continue
-        est = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+        est, se = mean_stderr(vals)
         stable = est > 0 and (se / est) < 0.10
         rows.append(FerniqueRow(float(gamma), est, se, stable))
     return rows

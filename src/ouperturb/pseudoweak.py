@@ -3,8 +3,9 @@
 The abstract sigma-finite base space is instantiated as
 ``[0, horizon] x {paths}`` with trapezoid-in-time times uniform-in-paths
 weights.  Vector fields on that grid are compressed radially into the unit
-ball, and weak convergence statements become finite quadratures against a
-capped separating family of test functionals.
+ball by :func:`compress` (inverted by :func:`decompress`), and weak
+convergence statements become finite quadratures against a capped
+separating family of test functionals.
 """
 
 from __future__ import annotations
@@ -16,31 +17,23 @@ import numpy as np
 from .drifts import norm
 
 
-class BallCompression:
+def compress(h):
     """Radial compression of the state space into the open unit ball,
     ``h -> h/|h| * psi0(|h|)`` with ``psi0(r) = r/(1+|r|)``."""
+    h = np.asarray(h, dtype=float)
+    r = norm(h)
+    factor = np.divide(r / (1.0 + np.abs(r)), r, out=np.zeros_like(r), where=r > 0)
+    return factor[..., None] * h
 
-    def scalar(self, r):
-        r = np.asarray(r, dtype=float)
-        return r / (1.0 + np.abs(r))
 
-    def scalar_inv(self, s):
-        s = np.asarray(s, dtype=float)
-        return s / (1.0 - np.abs(s))
-
-    def apply(self, h):
-        h = np.asarray(h, dtype=float)
-        r = norm(h)
-        factor = np.divide(self.scalar(r), r, out=np.zeros_like(r), where=r > 0)
-        return factor[..., None] * h
-
-    def invert(self, h):
-        h = np.asarray(h, dtype=float)
-        r = norm(h)
-        if np.any(r >= 1.0):
-            raise ValueError("inverse compression defined only inside the unit ball")
-        factor = np.divide(self.scalar_inv(r), r, out=np.zeros_like(r), where=r > 0)
-        return factor[..., None] * h
+def decompress(h):
+    """Inverse of :func:`compress` inside the unit ball, ``s -> s/(1-|s|)``."""
+    h = np.asarray(h, dtype=float)
+    r = norm(h)
+    if np.any(r >= 1.0):
+        raise ValueError("inverse compression defined only inside the unit ball")
+    factor = np.divide(r / (1.0 - np.abs(r)), r, out=np.zeros_like(r), where=r > 0)
+    return factor[..., None] * h
 
 
 @dataclass(eq=False)
@@ -115,9 +108,8 @@ def weak_gap(field_a: np.ndarray, field_b: np.ndarray,
     einsum reduces each ``(path, coordinate)`` over nodes on its own, so the
     sums see the same values in the same order as a projection of the subset.
     """
-    comp = BallCompression()
-    ca = comp.apply(field_a)
-    cb = comp.apply(field_b)
+    ca = compress(field_a)
+    cb = compress(field_b)
     diff = ca - cb                                       # (P, S, d)
     rows = []
     for wname, wmask in grid.time_windows:
@@ -153,10 +145,9 @@ def cesaro_limit(fields):
     outside it, are clamped to radius ``1 - 1e-9`` (count reported).  Raises
     if every entry needed clamping, which signals divergence of the family.
     """
-    comp = BallCompression()
     if len(fields) < 2:
         raise ValueError("cesaro limit needs at least two fields")
-    mean = np.mean([comp.apply(f) for f in fields], axis=0)
+    mean = np.mean([compress(f) for f in fields], axis=0)
     r = norm(mean)
     # entries this close to the sphere are numerically outside the inverse's
     # sane range
@@ -167,7 +158,7 @@ def cesaro_limit(fields):
     if clamped:
         factor = np.where(bad, (1.0 - 1e-9) / np.where(bad, r, 1.0), 1.0)
         mean = factor[..., None] * mean
-    return comp.invert(mean), clamped
+    return decompress(mean), clamped
 
 
 @dataclass

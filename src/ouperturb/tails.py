@@ -164,10 +164,11 @@ class BumpSumWeight(UIWeight):
     Each bump ramps up on ``[y_k, y_k+1]``, sits at one on ``[y_k+1, y_k+2]``
     and ramps down on ``[y_k+2, y_k+3]``; each contributes mass 2 to the
     integral, so the weight is increasing, continuous and unbounded as knots
-    accumulate.
+    accumulate.  ``truncated`` is the stop flag of :func:`build_bump_weight`.
     """
 
     knots: tuple
+    truncated: bool
 
     def deriv(self, y):
         y = np.asarray(y, dtype=float)
@@ -189,16 +190,14 @@ class BumpSumWeight(UIWeight):
             out += 0.5 - _smoothstep_integral(np.clip(3.0 - u, 0.0, 1.0))
         return out
 
-
-@dataclass
-class BumpBuildInfo:
-    knots: tuple
-    k_max: int
-    truncated: bool
-    series_bound: float          # sum over used knots of 3/k^2
+    @property
+    def series_bound(self) -> float:
+        """``sum 3/k^2`` over the knots: bump ``k`` has ``Psi' <= 1`` on a
+        support of length 3 where ``p <= 1/k^2``."""
+        return sum(3.0 / (i + 1) ** 2 for i in range(len(self.knots)))
 
 
-def build_bump_weight(p_y, p_vals, max_knots: int = 64):
+def build_bump_weight(p_y, p_vals, max_knots: int = 64) -> BumpSumWeight:
     """Greedy knot placement: smallest tabulated ``y`` with ``p <= 1/k^2``,
     spaced at least 3 apart.
 
@@ -225,10 +224,7 @@ def build_bump_weight(p_y, p_vals, max_knots: int = 64):
         k += 1
     if k > max_knots:
         truncated = True
-    series = sum(3.0 / (i + 1) ** 2 for i in range(len(knots)))
-    return BumpSumWeight(tuple(knots)), BumpBuildInfo(tuple(knots),
-                                                      len(knots), truncated,
-                                                      series)
+    return BumpSumWeight(tuple(knots), truncated)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -246,17 +242,16 @@ def _mollifier_deriv(r):
                     0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedTail:
     """Nonincreasing interpolant of a tail table, extended by constants."""
 
-    y: tuple
-    p: tuple
+    y: np.ndarray
+    p: np.ndarray
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        return np.interp(s, np.asarray(self.y), np.asarray(self.p),
-                         left=self.p[0], right=self.p[-1])
+        return np.interp(s, self.y, self.p, left=self.p[0], right=self.p[-1])
 
 
 @dataclass(frozen=True)
@@ -310,9 +305,9 @@ class EnvelopeWeight(UIWeight):
 @dataclass
 class IntegralReport:
     value: float
-    bound: float | None
+    bound: float
     tail_remainder: float
-    passed: bool | None
+    passed: bool
 
 
 def weight_tail_integral(weight: UIWeight, p_fn, y_max: float) -> float:
@@ -344,58 +339,46 @@ def weight_tail_integral(weight: UIWeight, p_fn, y_max: float) -> float:
 
 
 def check_weight_integral(weight: UIWeight, p_fn, y_max: float,
-                          envelope_like: bool = False,
                           series_bound: float | None = None) -> IntegralReport:
     """Certify finiteness of the tail integral.
 
-    For envelope-respecting weights the integral must stay below
+    Given ``series_bound`` (a bump weight's :attr:`BumpSumWeight.series_bound`),
+    the integral must be finite and stay below it.  Otherwise the weight is
+    taken to respect the envelope ``1/sqrt(p)``: the integral must stay below
     ``sqrt(p(0))`` up to a 1e-3 slack plus the remainder bound
-    ``sqrt(p(y_max))``; for bump weights it must stay below the series bound.
+    ``sqrt(p(y_max))``.  A NaN integral fails either check.
     """
     val = weight_tail_integral(weight, p_fn, y_max)
     remainder = float(np.sqrt(np.asarray(p_fn(np.asarray(y_max)))))
-    passed = None
-    bound = None
-    if envelope_like:
-        bound = float(np.sqrt(np.asarray(p_fn(np.asarray(0.0)))))
-        passed = val <= bound * (1.0 + 1e-3) + remainder
-    elif series_bound is not None:
-        bound = series_bound
-        passed = np.isfinite(val) and val <= series_bound * (1.0 + 1e-9)
-    return IntegralReport(val, bound, remainder, passed)
+    if series_bound is not None:
+        passed = bool(np.isfinite(val)) and val <= series_bound * (1.0 + 1e-9)
+        return IntegralReport(val, float(series_bound), remainder, passed)
+    bound = float(np.sqrt(np.asarray(p_fn(np.asarray(0.0)))))
+    return IntegralReport(val, bound, remainder,
+                          val <= bound * (1.0 + 1e-3) + remainder)
 
 
 # ---------------------------------------------------------------------------
 # centered-path tail and the nested-inverse admissibility chain
 
 
-@dataclass
-class P0Table:
-    s: np.ndarray
-    p0: np.ndarray
-
-    def interp(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.interp(s, self.s, self.p0, left=self.p0[0], right=self.p0[-1])
-
-
-def p0_from_counts(s_grid, counts, n_paths: int) -> P0Table:
-    """``p0(s) = max over nodes of P(|centered state| > s)`` from node counts."""
+def p0_from_counts(s_grid, counts, n_paths: int) -> TabulatedTail:
+    """``p0(s) = max over nodes of P(|centered state| > s)`` from node counts,
+    tabulated on the s-grid."""
     counts = np.asarray(counts, dtype=float)
-    return P0Table(np.asarray(s_grid, dtype=float),
-                   counts.max(axis=0) / max(n_paths, 1))
+    return TabulatedTail(np.asarray(s_grid, dtype=float),
+                         counts.max(axis=0) / max(n_paths, 1))
 
 
 @dataclass
 class ChainFitReport:
     c1: float
     c2: float
-    c3: float
     fraction_held: float
     worst_margin: float
 
 
-def admissibility_chain_fit(p0: P0Table, bound_inverse, weight: UIWeight,
+def admissibility_chain_fit(p0: TabulatedTail, bound_inverse, weight: UIWeight,
                             y_grid) -> ChainFitReport:
     """Fit constants making ``Psi(y) < 1/sqrt(p0(C1 a^-1(C2 a^-1(sqrt(log(C3+y))))))``.
 
@@ -412,7 +395,7 @@ def admissibility_chain_fit(p0: P0Table, bound_inverse, weight: UIWeight,
         for c2 in c_grid:
             s = c1 * np.asarray(bound_inverse(c2 * np.asarray(
                 bound_inverse(np.sqrt(np.log(1.0 + y))))))
-            rhs = 1.0 / np.sqrt(np.maximum(p0.interp(s), 1e-300))
+            rhs = 1.0 / np.sqrt(np.maximum(p0(s), 1e-300))
             with np.errstate(divide="ignore"):
                 margin = np.log(rhs) - np.log(psi_vals)
             frac = float(np.mean(margin > 0))
@@ -421,4 +404,4 @@ def admissibility_chain_fit(p0: P0Table, bound_inverse, weight: UIWeight,
             if best is None or key > best[0]:
                 best = (key, (float(c1), float(c2)))
     (frac, worst), (c1, c2) = best
-    return ChainFitReport(c1, c2, 1.0, frac, worst)
+    return ChainFitReport(c1, c2, frac, worst)

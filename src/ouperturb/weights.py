@@ -110,17 +110,15 @@ def estimate_constant(w: WeightFunction, c, beta, B):
     bracket, one triple at a time, then golden-section refinement around the
     best cell.
 
-    Scalar ``c``, ``beta``, ``B`` give one :class:`EstimateConstant`.  1-D
-    arrays, broadcast together, give a list with one per element: the
-    refinement then runs for all of them at once, each element stopping on
-    its own, so every entry is bit-identical to the scalar call.
+    ``c``, ``beta``, ``B`` are scalars or 1-D arrays, broadcast together; the
+    result is a list with one :class:`EstimateConstant` per element (one for
+    scalars).  The refinement runs for all elements at once, each stopping on
+    its own, so every entry is bit-identical to the call on its triple alone.
     """
     cs, betas, Bs = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (c, beta, B)))
+        *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (c, beta, B)))
     if cs.ndim > 1:
         raise ValueError("c, beta and B must be scalars or 1-D arrays")
-    scalar = cs.ndim == 0
-    cs, betas, Bs = (np.atleast_1d(v) for v in (cs, betas, Bs))
     L = w.ratio_limit
     n = cs.size
     grid_points = 4096
@@ -171,11 +169,10 @@ def estimate_constant(w: WeightFunction, c, beta, B):
     f_star = objective(w, cs, betas, Bs, u_star)
     value = np.where(f_star > grid_max, f_star, grid_max)
 
-    out = [EstimateConstant(float(value[i]), float(bracket[i]), float(u_star[i]),
-                            *closed_form_constant(w, float(cs[i]), float(betas[i]),
-                                                  float(Bs[i])))
-           for i in range(n)]
-    return out[0] if scalar else out
+    return [EstimateConstant(float(value[i]), float(bracket[i]), float(u_star[i]),
+                             *closed_form_constant(w, float(cs[i]), float(betas[i]),
+                                                   float(Bs[i])))
+            for i in range(n)]
 
 
 def closed_form_constant(w: WeightFunction, c: float, beta: float, B: float):

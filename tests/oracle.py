@@ -42,7 +42,7 @@ import numpy as np
 from ouperturb.drifts import Drift, colsum, norm
 from ouperturb.model import GalerkinModel
 from ouperturb.ou import PathGrid, SamplePath, sample_ou_block
-from ouperturb.pseudoweak import BallCompression, GapMatrix, TestMeasureGrid
+from ouperturb.pseudoweak import GapMatrix, TestMeasureGrid, compress
 from ouperturb.tails import UIWeight
 from ouperturb.weights import MomentBoundReport, WeightFunction
 
@@ -442,8 +442,7 @@ def weak_gap(field_a: np.ndarray, field_b: np.ndarray,
     ``dt x uniform(paths)``.  Clipped per-path scalar functionals are included
     alongside the bilinear ones.
     """
-    comp = BallCompression()
-    diff = comp.apply(field_a) - comp.apply(field_b)     # (P, S, d)
+    diff = compress(field_a) - compress(field_b)         # (P, S, d)
     P = diff.shape[0]
     rows = []
     worst = 0.0
@@ -460,8 +459,8 @@ def weak_gap(field_a: np.ndarray, field_b: np.ndarray,
                     rows.append((f"{wname}|{pname}", f"{mname}*e{j}", gap))
                     worst = max(worst, gap)
     # clipped scalar functionals on the full window
-    ca = comp.apply(field_a)
-    cb = comp.apply(field_b)
+    ca = compress(field_a)
+    cb = compress(field_b)
     for mname, mvals in grid.time_modes:
         wv = grid.weights * mvals
         ga = np.einsum("k,pkj->pj", wv, ca)

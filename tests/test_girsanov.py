@@ -4,7 +4,7 @@ import pytest
 from ouperturb import (PathGrid, make_drift, martingale_check,
                        stopped_moment_bound)
 from ouperturb.engine import EnsembleTasks, run_ensemble
-from ouperturb.girsanov import entropy_statistic
+from ouperturb.girsanov import MartingaleReport, entropy_statistic
 from ouperturb.tails import ClosedFormWeight
 from oracle import (IdentityWeight, inject, integrate_Z, log_rho_tilde,
                     rho_tilde, sample_ou_path, zeta, zeta_parts)
@@ -101,6 +101,15 @@ def test_martingale_zero_drift_exact(model4):
     ens = _ensemble(model4, ZERO, n_paths=50, n_steps=100, alphas=(0.5, 0.1))
     rep = martingale_check(ens, 0)
     assert rep.mean == 1.0 and rep.stderr == 0.0 and rep.passed
+
+
+def test_martingale_margin_scores_degenerate_alphas():
+    assert MartingaleReport(1.0, 0.0, 0).margin == 4.0
+    assert MartingaleReport(1.0 + 1e-9, 0.0, 0).margin == -np.inf
+    assert MartingaleReport(1.1, 0.05, 0).margin == pytest.approx(2.0)
+    assert MartingaleReport(np.nan, np.nan, 0).margin == -np.inf
+    assert MartingaleReport(np.inf, np.nan, 1).margin == -np.inf
+    assert MartingaleReport(1.0, 0.1, 1).margin == -np.inf
 
 
 def test_martingale_bounded_drift(model4):

@@ -331,6 +331,15 @@ def test_psi_subcommand_writes_the_psi_rows_of_all(tmp_path):
     assert rows["psi"] == rows["all"]
 
 
+def test_stage_table_orders_the_prerequisites():
+    # psi reads the tail table that girsanov keeps, and phi-check the
+    # weak-limit candidate that sweep keeps; no stage runs another
+    for name, stages in cli.SUBCOMMAND_STAGES.items():
+        for first, then in (("girsanov", "psi"), ("sweep", "phi-check")):
+            if then in stages:
+                assert first in stages[:stages.index(then)], (name, stages)
+
+
 def test_all_checks_pass_without_weight_stage(tmp_path):
     raw = json.loads(ZERO.read_text())
     raw["phi"]["kinds"] = []
@@ -543,6 +552,7 @@ def test_overflow_fails_martingale(cached_state):
     assert rep.overflow == 1 and not rep.passed
     assert martingale_check(doctored, 1).passed
     assert not checks["girsanov.martingale"].passed
+    assert checks["girsanov.martingale"].margin == -np.inf
 
 
 def test_nan_field_fails_weak_limit_rows(cached_state):

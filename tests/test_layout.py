@@ -83,6 +83,45 @@ def test_linalg_norm_only_at_allowed_sites():
         "stale allowlist entries"
 
 
+# the dataclass fields that may hold None, as (module, class, field); every
+# other report field has one type.  EstimateConstant.closed_form is None where
+# no closed form is known, which writes the empty cell of lemma_constants.csv
+OPTIONAL_FIELDS_ALLOWED = {("weights", "EstimateConstant", "closed_form")}
+
+
+def optional_fields(source: str) -> list:
+    """``(class, field)`` of each dataclass field annotated ``X | None`` or
+    ``Optional[X]``."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not (isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list)):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) \
+                    and ("Optional" in ast.unparse(stmt.annotation)
+                         or any(isinstance(n, ast.Constant) and n.value is None
+                                for n in ast.walk(stmt.annotation))):
+                found.append((cls.name, stmt.target.id))
+    return found
+
+
+def test_optional_fields_detected():
+    src = ("from dataclasses import dataclass\n@dataclass(frozen=True)\nclass A:\n"
+           "    a: float\n    b: float | None\n    c: Optional[int] = None\n"
+           "class B:\n    d: int | None\n")
+    assert optional_fields(src) == [("A", "b"), ("A", "c")]
+
+
+def test_no_optional_report_fields():
+    found = {(path.stem, cls, name) for path in sorted(PACKAGE.glob("*.py"))
+             for cls, name in optional_fields(path.read_text())}
+    extra = sorted(found - OPTIONAL_FIELDS_ALLOWED)
+    assert not extra, "dataclass fields that may be None:\n" + "\n".join(
+        f"{m}.{c}.{f}" for m, c, f in extra)
+    assert OPTIONAL_FIELDS_ALLOWED <= found, "stale allowlist entries"
+
+
 def test_traced_names_exist():
     # perfbench/tracer.py replaces these names where their callers look them
     # up; a rename or a dropped import would silently untime a layer

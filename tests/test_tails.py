@@ -82,26 +82,52 @@ def test_closed_form_log_evaluation_matches_direct():
 def test_bump_knots_on_inverse_tail():
     # p(y) = 1/y puts knots at k^2, pushed apart to keep spacing >= 3
     y = np.geomspace(1.0, 1e4, 6000)
-    wt, info = build_bump_weight(y, 1.0 / y, max_knots=8)
-    assert info.knots[0] == pytest.approx(1.0, abs=1e-3)
-    assert info.knots[1] == pytest.approx(4.0, abs=0.02)
-    assert info.knots[2] == pytest.approx(9.0, abs=0.02)
-    diffs = np.diff(info.knots)
+    wt = build_bump_weight(y, 1.0 / y, max_knots=8)
+    assert wt.knots[0] == pytest.approx(1.0, abs=1e-3)
+    assert wt.knots[1] == pytest.approx(4.0, abs=0.02)
+    assert wt.knots[2] == pytest.approx(9.0, abs=0.02)
+    diffs = np.diff(wt.knots)
     assert np.all(diffs >= 3.0 - 1e-12)
     # increasing, continuous, mass 2 per bump
-    ys = np.linspace(0, info.knots[-1] + 5.0, 2001)
+    ys = np.linspace(0, wt.knots[-1] + 5.0, 2001)
     vals = wt.value(ys)
     assert np.all(np.diff(vals) >= -1e-12)
-    assert vals[-1] == pytest.approx(2.0 * len(info.knots), rel=1e-9)
+    assert vals[-1] == pytest.approx(2.0 * len(wt.knots), rel=1e-9)
 
 
 def test_bump_integral_below_series_bound():
     y = np.geomspace(1.0, 1e6, 4000)
     p_fn = lambda s: np.minimum(1.0, 1.0 / np.maximum(np.asarray(s, float), 1e-300))
-    wt, info = build_bump_weight(y, 1.0 / y)
-    rep = check_weight_integral(wt, p_fn, 1e6, series_bound=info.series_bound)
+    wt = build_bump_weight(y, 1.0 / y)
+    rep = check_weight_integral(wt, p_fn, 1e6, series_bound=wt.series_bound)
     assert rep.passed
     assert rep.value <= np.pi**2 / 2.0
+
+
+def test_bump_integral_fails_closed_on_nan():
+    # one NaN tail value inside a knot's support reaches the per-bump Gauss
+    # rule and fails the series check
+    y = np.geomspace(1.0, 1e6, 4000)
+    p = np.minimum(1.0, 1.0 / y)
+    wt = build_bump_weight(y, p)
+    rep = check_weight_integral(wt, TabulatedTail(y, p), 1e6,
+                                series_bound=wt.series_bound)
+    assert rep.passed is True
+    assert isinstance(rep.bound, float) and np.isfinite(rep.bound)
+    yk = wt.knots[2]
+    i = int(np.nonzero((y > yk + 1.0) & (y < yk + 2.0))[0][0])
+    bad = p.copy()
+    bad[i] = np.nan
+    rep = check_weight_integral(wt, TabulatedTail(y, bad), 1e6,
+                                series_bound=wt.series_bound)
+    assert np.isnan(rep.value)
+    assert rep.passed is False
+    assert isinstance(rep.bound, float) and np.isfinite(rep.bound)
+    # the envelope check reports the same types
+    tab = TabulatedTail(y, p)
+    rep = check_weight_integral(EnvelopeWeight(tab), tab, 1e5)
+    assert rep.passed is True
+    assert isinstance(rep.bound, float) and np.isfinite(rep.bound)
 
 
 def test_envelope_identity_inverse_tail():
@@ -118,7 +144,7 @@ def test_envelope_identity_inverse_tail():
             y = np.asarray(y, dtype=float)
             return np.where(y > 1, 0.5 / np.sqrt(np.maximum(y, 1e-300)), 0.0)
 
-    rep = check_weight_integral(Analytic(), p_fn, 1e8, envelope_like=True)
+    rep = check_weight_integral(Analytic(), p_fn, 1e8)
     assert rep.passed
     assert rep.value + rep.tail_remainder == pytest.approx(1.0, abs=1e-3)
 
@@ -129,7 +155,7 @@ def test_envelope_weight_from_table_monotone():
     env = EnvelopeWeight(tab)
     vals = env.value(y)
     assert np.all(np.diff(vals) >= -1e-12)
-    rep = check_weight_integral(env, tab, 1e5, envelope_like=True)
+    rep = check_weight_integral(env, tab, 1e5)
     assert rep.passed
 
 
@@ -139,7 +165,7 @@ def test_envelope_integral_fails_closed_on_nan():
     y = np.geomspace(1.0, 1e5, 500)
     tab = TabulatedTail(tuple(y), tuple(np.minimum(1.0, 1.0 / y)))
     env = EnvelopeWeight(tab)
-    assert check_weight_integral(env, tab, 1e5, envelope_like=True).passed
+    assert check_weight_integral(env, tab, 1e5).passed
 
     def p_fn(s):
         out = np.asarray(tab(s), dtype=float)
@@ -148,7 +174,7 @@ def test_envelope_integral_fails_closed_on_nan():
             out.flat[600] = np.nan
         return out
 
-    rep = check_weight_integral(env, p_fn, 1e5, envelope_like=True)
+    rep = check_weight_integral(env, p_fn, 1e5)
     assert np.isnan(rep.value)
     assert not rep.passed
 
@@ -191,15 +217,15 @@ def test_p0_tail_from_engine(model1):
     res = run_ensemble(model1, None, grid, EnsembleTasks(s_grid=tuple(s_grid)),
                        20_000, 77)
     tab = p0_from_counts(s_grid, res.p0_counts, 20_000)
-    assert tab.p0[0] == 1.0
-    assert np.all(np.diff(tab.p0) <= 1e-15)
+    assert tab.p[0] == 1.0
+    assert np.all(np.diff(tab.p) <= 1e-15)
     # pointwise-in-time Gaussian tail oracle: the max over nodes is attained
     # at the terminal node where the marginal deviation is largest
     sd_T = np.sqrt(0.5 * (1 - np.exp(-2.0)))
     for i, s in enumerate(s_grid[1:], start=1):
         exact = 2.0 * (1.0 - normal.cdf(s / sd_T))
         se = np.sqrt(exact * (1 - exact) / 20_000)
-        assert tab.p0[i] <= exact + 5 * se + 1e-12
+        assert tab.p[i] <= exact + 5 * se + 1e-12
 
 
 def test_chain_fit_reports():

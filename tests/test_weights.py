@@ -61,26 +61,26 @@ def test_invalid_weights_rejected():
 
 def test_constant_exponential_half_beta():
     c, beta = 1.3, 0.9
-    r = estimate_constant(EXP, c, beta, beta / 2.0)
+    r = estimate_constant(EXP, c, beta, beta / 2.0)[0]
     expect = 0.5 * beta * np.exp(c**2 / beta**2)
     assert r.value == pytest.approx(expect, rel=1e-9)
     assert r.closed_form == pytest.approx(expect, rel=1e-12)
 
 
 def test_constant_power_one():
-    r = estimate_constant(make_weight("power", 1.0), 2.0, 1.0, 0.5)
+    r = estimate_constant(make_weight("power", 1.0), 2.0, 1.0, 0.5)[0]
     assert r.value == pytest.approx(2.0, rel=1e-9)
 
 
 def test_constant_zero_c_exponential():
-    r = estimate_constant(EXP, 0.0, 1.0, 0.5)
+    r = estimate_constant(EXP, 0.0, 1.0, 0.5)[0]
     assert r.value == pytest.approx(0.5, rel=1e-12)
 
 
 def test_constant_expands_bracket_beyond_stated():
     # for B >= beta the fixed bracket max(c^2/b^2, c^2/(4(b-B)^2)) misses the
     # maximizer; the closed form pins the true value
-    r = estimate_constant(make_weight("power", 2.0), 1.0, 1.0, 1.5)
+    r = estimate_constant(make_weight("power", 2.0), 1.0, 1.0, 1.5)[0]
     assert r.value == pytest.approx(13.5, rel=1e-9)
     assert r.u_argmax == pytest.approx(9.0, rel=1e-6)
 
@@ -99,7 +99,7 @@ def test_constant_dominates_on_random_triples():
             c = float(rng.uniform(0.01, 3))
             beta = float(rng.uniform(0.3, 2))
             B = float(rng.uniform(1e-3, 0.95 * beta * min(w.ratio_limit, 4)))
-            r = estimate_constant(w, c, beta, B)
+            r = estimate_constant(w, c, beta, B)[0]
             u0 = max(c**2 / beta**2, c**2 / (4 * (beta - B) ** 2)) \
                 if B < beta else c**2 / beta**2
             u = np.linspace(0, 10 * max(u0, 1e-9), 20001)
@@ -120,7 +120,7 @@ def test_constant_batch_equals_scalar_calls():
         B = beta * rng.uniform(1e-3, 0.95 * min(w.ratio_limit, 4.0), 40)
         batch = estimate_constant(w, c, beta, B)
         assert len(batch) == 40
-        scalar = [estimate_constant(w, float(ci), float(bi), float(Bi))
+        scalar = [estimate_constant(w, float(ci), float(bi), float(Bi))[0]
                   for ci, bi, Bi in zip(c, beta, B)]
         assert all(isinstance(one.value, float) for one in scalar)
         assert batch == scalar
@@ -132,7 +132,7 @@ def test_constant_batch_equals_scalar_calls():
 def test_closed_form_xlog_is_upper_bound():
     val, upper = closed_form_constant(XLOG, 1.5, 1.0, 0.4)
     assert upper
-    r = estimate_constant(XLOG, 1.5, 1.0, 0.4)
+    r = estimate_constant(XLOG, 1.5, 1.0, 0.4)[0]
     assert val >= r.value
 
 
