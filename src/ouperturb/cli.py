@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulate perturbed Ornstein-Uhlenbeck dynamics and run "
                     "the quantitative verification suites.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "sweep", "phi-check", "girsanov", "psi", "all"):
+    for name in SUBCOMMAND_STAGES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None,

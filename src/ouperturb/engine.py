@@ -170,7 +170,6 @@ class EnsembleResult:
     """
 
     n_paths: int
-    alphas: tuple
     grid: PathGrid
     tasks: EnsembleTasks
     final_w0: np.ndarray = _out(0, "every")
@@ -629,7 +628,7 @@ def run_ensemble(model: GalerkinModel, drift: Drift, grid: PathGrid,
             _cat(vals, orders[paths], axis)
 
     return EnsembleResult(
-        n_paths=n_paths, alphas=tasks.alphas, grid=grid, tasks=tasks, **joined,
+        n_paths=n_paths, grid=grid, tasks=tasks, **joined,
         blocks=tuple((len(ids), int(np.count_nonzero(ids < tasks.n_check_paths)))
                      for ids in blocks),
     )

@@ -1,10 +1,10 @@
 """Experiment orchestration: stages, artifact files, manifest, report.
 
-One comprehensive streaming pass feeds every stage; stages slice its results
-into CSV artifacts and pass/fail checks with margins.  The manifest is
-written atomically last and inventories every emitted file with a digest.
-All numeric output is deterministic for a fixed (config, seed) regardless of
-worker count.
+``run_stages`` runs one comprehensive streaming pass, then each stage, which
+slices the pass result into CSV artifacts and pass/fail checks with margins.
+The manifest is written atomically last and inventories every emitted file
+with a digest.  All numeric output is deterministic for a fixed (config,
+seed) regardless of worker count.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .drifts import norm
 from .engine import BOUND_FORMS, ENVELOPE_FORMS, EnsembleTasks, run_ensemble
 from .girsanov import (entropy_stability, entropy_statistic, martingale_check,
                        stopped_moment_bound)
-from .ou import fernique_probe, largest_stable_gamma, ou_moments, sample_ou_paths
+from .ou import (STABLE_REL_SE, fernique_probe, largest_stable_gamma, ou_moments,
+                 sample_ou_paths)
 from .pseudoweak import TestMeasureGrid, cesaro_limit, limsup_check, weak_gap
 from .tails import (ClosedFormWeight, EnvelopeWeight, MollifiedWeight,
                     TabulatedTail, admissibility_chain_fit, build_bump_weight,
@@ -109,7 +110,8 @@ def make_state(cfg: ExperimentConfig, out=None, n_workers: int | None = None,
 
 
 def ensure_ensemble(state: RunState):
-    """Run the comprehensive streaming pass once and cache it."""
+    """Run the streaming pass into ``state.result``, timed as ``"pass"``,
+    unless a result is already there; return the result."""
     if state.result is not None:
         return state.result
     cfg = state.cfg
@@ -144,9 +146,8 @@ def ensure_ensemble(state: RunState):
 
 def stage_simulate(state: RunState):
     cfg = state.cfg
-    res = ensure_ensemble(state)
+    res = state.result
     model, grid = cfg.model, cfg.grid
-    state.say("stage simulate")
 
     mean_ex, var_ex = ou_moments(model, grid.horizon)
     w_T = res.final_w(model)
@@ -171,9 +172,12 @@ def stage_simulate(state: RunState):
     state.emit("fernique.csv", ["gamma", "estimate", "stderr", "stable"],
                [[r.gamma for r in fr], [r.estimate for r in fr],
                 [r.stderr for r in fr], [r.stable for r in fr]])
+    # margin: how far the most stable finite row is below the threshold
+    rel = [r.stderr / r.estimate for r in fr if np.isfinite(r.estimate)]
     g_star = largest_stable_gamma(fr)
     state.add(Check("ou.fernique_stable_gamma", g_star is not None,
-                    g_star or 0.0, f"largest stable gamma = {g_star}"))
+                    STABLE_REL_SE - min(rel, default=np.inf),
+                    f"largest stable gamma = {g_star}"))
 
     tail = p0_from_counts(cfg.s_grid, res.p0_counts, cfg.n_paths)
     state.emit("p0.csv", ["s", "p0"], [tail.y, tail.p])
@@ -192,13 +196,11 @@ def stage_simulate(state: RunState):
                 np.tile(grid.times, len(paths)),
                 *w.T, *dw.T,
                 np.concatenate([p.running_max for p in paths])])
-    state.stages_done.append("simulate")
 
 
 def stage_sweep(state: RunState):
     cfg = state.cfg
-    res = ensure_ensemble(state)
-    state.say("stage sweep")
+    res = state.result
     A = len(cfg.alphas)
     nc = res.bound_viol.shape[2]
 
@@ -244,7 +246,7 @@ def stage_sweep(state: RunState):
     dist = float(np.max(norm(candidate - res.field_x[-1])))
     finest = float(np.max(norm(res.field_x[-2] - res.field_x[-1])))
     state.add(Check("pseudoweak.candidate_near_finest",
-                    dist <= 2.0 * finest + 1e-12, 2.0 * finest - dist,
+                    dist <= 2.0 * finest + 1e-12, 2.0 * finest + 1e-12 - dist,
                     f"dist={dist:.3g} finest_gap={finest:.3g} clamps={clamps}"))
     state.add(Check("pseudoweak.gap_sequence_decreasing",
                     all(g2 <= g1 * 1.5 + 1e-9
@@ -252,13 +254,11 @@ def stage_sweep(state: RunState):
                     gap_seq[0] - gap_seq[-1],
                     " -> ".join(f"{g:.2e}" for g in gap_seq)))
     state.candidate = candidate
-    state.stages_done.append("sweep")
 
 
 def stage_phi(state: RunState):
     cfg = state.cfg
-    res = ensure_ensemble(state)
-    state.say("stage phi-check")
+    res = state.result
     A = len(cfg.alphas)
     nc = res.weight_viol.shape[3]
     tags = ["" if form == "stated" else f"{form}_" for form in MOMENT_FORMS]
@@ -280,20 +280,18 @@ def stage_phi(state: RunState):
                             f"{over} overflow nodes"))
 
     # the same bound on the weak-limit candidate fields, in each form
-    if state.candidate is not None:
-        for w in cfg.weights:
-            for k, tag in zip(MOMENT_FORMS.values(), tags):
-                rep = check_moment_bound_on_fields(
-                    state.candidate, res.field_w0, res.field_runmax,
-                    res.snap_times, cfg.model.x0, w, cfg.model.beta,
-                    cfg.drift.bound, cfg.grid.dt, k_scale=k)
-                state.add(Check(f"phi.bound_candidate_{tag}{w.name}",
-                                bound_gate(rep.violations, rep.worst_margin),
-                                rep.worst_margin,
-                                f"{rep.violations} violations on candidate"))
+    for w in cfg.weights:
+        for k, tag in zip(MOMENT_FORMS.values(), tags):
+            rep = check_moment_bound_on_fields(
+                state.candidate, res.field_w0, res.field_runmax,
+                res.snap_times, cfg.model.x0, w, cfg.model.beta,
+                cfg.drift.bound, cfg.grid.dt, k_scale=k)
+            state.add(Check(f"phi.bound_candidate_{tag}{w.name}",
+                            bound_gate(rep.violations, rep.worst_margin),
+                            rep.worst_margin,
+                            f"{rep.violations} violations on candidate"))
 
     if not cfg.weights:
-        state.stages_done.append("phi-check")
         return
 
     # estimate-constant certification on deterministic pseudo-random triples
@@ -335,13 +333,11 @@ def stage_phi(state: RunState):
                     f"max relative excess {worst_excess:.2e}"))
     state.add(Check("phi.closed_forms", closed_bad == 0, -closed_bad,
                     f"{closed_bad} mismatches"))
-    state.stages_done.append("phi-check")
 
 
 def stage_girsanov(state: RunState):
     cfg = state.cfg
-    res = ensure_ensemble(state)
-    state.say("stage girsanov")
+    res = state.result
 
     # one row per (alpha, path)
     A, P = len(cfg.alphas), cfg.n_paths
@@ -402,12 +398,10 @@ def stage_girsanov(state: RunState):
                     f"{len(cfg.alphas)} alphas"))
     state.add(Check("girsanov.entropy_alpha_stable", ratio < 3.0, 3.0 - ratio,
                     f"max/min ratio {ratio:.4f}"))
-    state.stages_done.append("girsanov")
 
 
 def stage_psi(state: RunState):
     cfg = state.cfg
-    state.say("stage psi")
     tt = state.tail_table
     tabfn = TabulatedTail(tt.y, tt.p_upper)
 
@@ -444,17 +438,14 @@ def stage_psi(state: RunState):
     if growth is not None and growth.power > 0:
         inv = lambda v: np.power(np.maximum(np.asarray(v, dtype=float), 0.0)
                                  / growth.coef, 1.0 / (growth.power + 1.0))
-        tail = p0_from_counts(cfg.s_grid, ensure_ensemble(state).p0_counts,
-                              cfg.n_paths)
+        tail = p0_from_counts(cfg.s_grid, state.result.p0_counts, cfg.n_paths)
         fit = admissibility_chain_fit(tail, inv, ClosedFormWeight(cfg.psi_delta), tt.y)
         state.add(Check("psi.chain_fit", True, fit.worst_margin,
                         f"C=({fit.c1:.3g},{fit.c2:.3g},1) "
                         f"held on {fit.fraction_held:.0%} of grid (reported)"))
-    state.stages_done.append("psi")
 
 
 def stage_report(state: RunState):
-    state.say("stage report")
     lines = [f"ouperturb {__version__} run summary", ""]
     lines.append(f"{'check':46s} {'result':6s} {'margin':>12s}  detail")
     lines += [check_line(c.row()) for c in state.checks]
@@ -467,7 +458,6 @@ def stage_report(state: RunState):
     state.files.append(path)
     if not state.quiet:
         print(text)
-    state.stages_done.append("report")
 
 
 def write_manifest(state: RunState, status: str, wall: float) -> Path:
@@ -546,30 +536,27 @@ def report_from_manifest(out_dir, quiet: bool = False) -> int:
 
 
 def run_stages(state: RunState, stages) -> int:
-    """Run the requested stages; returns the exit code (0 pass, 1 failures).
-
-    Each stage's seconds go to ``state.stage_seconds``, less the streaming
-    pass, which ``ensure_ensemble`` records under ``"pass"`` when the first
-    stage that needs it runs it.
+    """Run the pass once, then announce, time and record each stage (a
+    stage only reads ``state.result`` and adds rows); write the manifest,
+    also when a stage raises.  Returns the exit code (0 pass, 1 failures).
     """
     t0 = time.perf_counter()
+    # looked up at call time, where the benchmark's tracer patches the stages
     table = {"simulate": stage_simulate, "sweep": stage_sweep,
              "phi-check": stage_phi, "girsanov": stage_girsanov,
              "psi": stage_psi, "report": stage_report}
-    status = "ok"
     try:
+        ensure_ensemble(state)
         for s in stages:
+            state.say(f"stage {s}")
             t = time.perf_counter()
-            pass_before = state.stage_seconds.get("pass", 0.0)
             table[s](state)
-            state.stage_seconds[s] = (time.perf_counter() - t
-                                      - (state.stage_seconds.get("pass", 0.0)
-                                         - pass_before))
+            state.stage_seconds[s] = time.perf_counter() - t
+            state.stages_done.append(s)
     except Exception:
         write_manifest(state, "failed", time.perf_counter() - t0)
         raise
     n_fail = sum(1 for c in state.checks if not c.passed)
-    if n_fail:
-        status = "check_failures"
-    write_manifest(state, status, time.perf_counter() - t0)
-    return 0 if n_fail == 0 else 1
+    write_manifest(state, "check_failures" if n_fail else "ok",
+                   time.perf_counter() - t0)
+    return 1 if n_fail else 0

@@ -168,25 +168,28 @@ class FerniqueRow:
     stable: bool
 
 
+STABLE_REL_SE = 0.10     # a Fernique row is stable below this relative stderr
+
+
 def fernique_probe(maxima, gamma_grid) -> list[FerniqueRow]:
     """Empirical exponential moments of the terminal running maximum.
 
     ``maxima`` holds the per-path maxima of the centered norm.  A row is
     stable when the estimate is finite with relative standard error below
-    10%; overflow rows are flagged unstable rather than clipped.
+    ``STABLE_REL_SE``; overflow rows are flagged unstable rather than clipped.
     """
     maxima = np.asarray(maxima, dtype=float)
     if maxima.size == 0:
         raise ValueError("fernique probe needs a nonempty ensemble")
     rows = []
     for gamma in gamma_grid:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):   # the stderr may overflow too
             vals = np.exp(float(gamma) * maxima)
-        if not np.all(np.isfinite(vals)):
-            rows.append(FerniqueRow(float(gamma), float("inf"), float("inf"), False))
-            continue
-        est, se = mean_stderr(vals)
-        stable = est > 0 and (se / est) < 0.10
+            if not np.all(np.isfinite(vals)):
+                rows.append(FerniqueRow(float(gamma), np.inf, np.inf, False))
+                continue
+            est, se = mean_stderr(vals)
+        stable = est > 0 and (se / est) < STABLE_REL_SE
         rows.append(FerniqueRow(float(gamma), est, se, stable))
     return rows
 

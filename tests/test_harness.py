@@ -14,7 +14,8 @@ from ouperturb._util import CSV_BLOCK_ROWS, fmt, sha256_file, write_csv
 from ouperturb.config import ConfigError, load_config, parse_config
 from ouperturb.girsanov import martingale_check
 from ouperturb.harness import (ensure_ensemble, make_state, run_stages,
-                               stage_girsanov, stage_phi, stage_sweep)
+                               stage_girsanov, stage_phi, stage_simulate,
+                               stage_sweep)
 from ouperturb.ou import sample_ou_paths
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -352,6 +353,24 @@ def test_all_checks_pass_without_weight_stage(tmp_path):
     assert all(c["pass"] for c in manifest["checks"])
 
 
+@pytest.fixture(scope="module")
+def smoke_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("smoke_run")
+    r = run_cli("all", "--config", str(SMOKE), "--out", str(out), "--quiet")
+    return out, r
+
+
+def test_margin_sign_agrees_with_verdict(zero_run, smoke_run):
+    # a PASS row never shows a negative margin and a FAIL row never a
+    # non-negative one; a NaN margin counts as failing
+    for out, _ in (zero_run, smoke_run):
+        checks = json.loads((out / "manifest.json").read_text())["checks"]
+        assert len(checks) > 30
+        disagree = [(c["id"], c["pass"], c["margin"]) for c in checks
+                    if c["pass"] != (c["margin"] >= 0)]
+        assert not disagree, disagree
+
+
 def test_zero_drift_stage_seconds(zero_run):
     # per-stage seconds, the streaming pass on its own, within the run's wall
     out, _ = zero_run
@@ -497,7 +516,12 @@ def test_nan_margin_fails_bound_gates(cached_state):
     assert not checks["bounds.z_full"].passed
     assert checks["bounds.x_full"].passed
 
-    clean = run_stage(cached_state, stage_phi, res)
+    # phi-check reads the weak-limit candidate that sweep keeps
+    sweep = make_state(cached_state.cfg, out=cached_state.out, n_workers=1,
+                       quiet=True)
+    sweep.result = res
+    stage_sweep(sweep)
+    clean = run_stage(cached_state, stage_phi, res, sweep.candidate)
     assert clean["phi.bound_derived_power2"].passed
     # the derived form reports its own overflow count
     assert clean["phi.bound_derived_power2"].detail == \
@@ -505,15 +529,11 @@ def test_nan_margin_fails_bound_gates(cached_state):
     # row 1 of the form axis is the derived form
     doctored = replace(res, weight_margin=with_nan(res.weight_margin,
                                                    res.weight_margin[0].size + 3))
-    checks = run_stage(cached_state, stage_phi, doctored)
+    checks = run_stage(cached_state, stage_phi, doctored, sweep.candidate)
     assert "0 node violations" in checks["phi.bound_derived_power2"].detail
     assert not checks["phi.bound_derived_power2"].passed
 
     # a NaN in the weak-limit candidate is a violation with a NaN worst margin
-    sweep = make_state(cached_state.cfg, out=cached_state.out, n_workers=1,
-                       quiet=True)
-    sweep.result = res
-    stage_sweep(sweep)
     clean = run_stage(cached_state, stage_phi, res, sweep.candidate)
     assert clean["phi.bound_candidate_derived_power2"].passed
     checks = run_stage(cached_state, stage_phi, res,
@@ -521,6 +541,41 @@ def test_nan_margin_fails_bound_gates(cached_state):
     assert not checks["phi.bound_candidate_derived_power2"].passed
     assert np.isnan(checks["phi.bound_candidate_derived_power2"].margin)
     assert "1 violations" in checks["phi.bound_candidate_derived_power2"].detail
+
+
+def test_unstable_fernique_rows_fail_with_negative_margin(cached_state):
+    # the margin is the distance of the most stable finite row below the
+    # stability threshold: one large maximum among zeros makes every finite
+    # row unstable, and with no finite row the margin is -inf
+    res = cached_state.result
+    row = "ou.fernique_stable_gamma"
+    assert run_stage(cached_state, stage_simulate, res)[row].margin > 0
+    for big, finite in ((200.0, True), (1e5, False)):
+        w0_max = np.zeros_like(res.w0_max)
+        w0_max[0] = big
+        check = run_stage(cached_state, stage_simulate,
+                          replace(res, w0_max=w0_max))[row]
+        assert not check.passed and check.margin < 0, big
+        assert np.isfinite(check.margin) == finite, big
+        assert check.detail == "largest stable gamma = None"
+
+
+def test_run_stages_runs_the_pass_once_and_records_each_stage(
+        cached_state, monkeypatch, tmp_path, capsys):
+    # run_stages alone announces, times and records the stages; the injected
+    # result is the pass, so no stage may run another
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a second pass")
+    monkeypatch.setattr(harness, "run_ensemble", no_pass)
+    for name, stages in cli.SUBCOMMAND_STAGES.items():
+        state = make_state(cached_state.cfg, out=tmp_path / name, n_workers=1)
+        state.result = cached_state.result
+        run_stages(state, stages)
+        said = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("stage ")]
+        assert said == [f"stage {s}" for s in stages], name
+        assert state.stages_done == list(stages), name
+        assert list(state.stage_seconds) == list(stages), name
 
 
 def test_overflow_fails_entropy_two_route(cached_state):

@@ -122,6 +122,42 @@ def test_no_optional_report_fields():
     assert OPTIONAL_FIELDS_ALLOWED <= found, "stale allowlist entries"
 
 
+# the names only run_stages may use: it runs the pass once, then announces,
+# times and records each stage
+RUNNER_NAMES = {"ensure_ensemble", "say", "stages_done", "stage_seconds"}
+
+
+def stage_bookkeeping(source: str) -> list:
+    """``(stage, name, line)`` of each use of a :data:`RUNNER_NAMES` name,
+    called or read, inside a ``stage_*`` function."""
+    found = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("stage_"):
+            for node in ast.walk(fn):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name in RUNNER_NAMES:
+                    found.append((fn.name, name, node.lineno))
+    return found
+
+
+def test_stage_bookkeeping_detected():
+    src = ("def stage_a(state):\n    res = ensure_ensemble(state)\n"
+           "    state.say('x')\n    state.stages_done.append('a')\n"
+           "def run_stages(state):\n    state.stage_seconds['a'] = 1\n"
+           "def stage_b(state):\n    return state.stage_seconds\n")
+    assert stage_bookkeeping(src) == [("stage_a", "ensure_ensemble", 2),
+                                      ("stage_a", "say", 3),
+                                      ("stage_a", "stages_done", 4),
+                                      ("stage_b", "stage_seconds", 8)]
+
+
+def test_stages_leave_the_bookkeeping_to_run_stages():
+    found = stage_bookkeeping((PACKAGE / "harness.py").read_text())
+    assert not found, "stages that run the pass or record themselves:\n" + \
+        "\n".join(f"harness.py:{line} {stage} uses {name}"
+                  for stage, name, line in found)
+
+
 def test_traced_names_exist():
     # perfbench/tracer.py replaces these names where their callers look them
     # up; a rename or a dropped import would silently untime a layer
