@@ -1,7 +1,8 @@
 """Catalog of maximal dissipative drifts.
 
 Each drift exposes these maps, all vectorized over states of shape
-``(..., dim)`` with a time argument broadcastable to the leading axes:
+``(..., dim)`` with a time argument broadcastable to the leading axes and
+``alpha`` a scalar or a column against them (:func:`alpha_column`):
 
 * ``minimal_section(t, x)`` -- the least-norm element of the drift set;
 * ``resolvent(t, alpha, x)`` -- the single-valued inverse of ``I - alpha*F``;
@@ -67,6 +68,13 @@ def norm(x, out=None):
     return np.sqrt(colsum(x * x), out=out)
 
 
+def alpha_column(alpha):
+    """``alpha`` as floats that broadcast against states ``(..., dim)``: a
+    scalar stays 0-d, an ``(A, 1)`` column of alphas becomes ``(A, 1, 1)``."""
+    a = np.asarray(alpha, dtype=float)
+    return a[..., None] if a.ndim else a
+
+
 # ---------------------------------------------------------------------------
 # scalar helpers
 
@@ -91,8 +99,6 @@ class RadialGrowth:
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if self.power == 0:
-            return np.full_like(r, self.coef)
         return self.coef * np.power(r, self.power)
 
     def deriv(self, r):
@@ -264,13 +270,11 @@ class Drift:
         This default returns ``coef = 1`` and ``base = yosida``;
         :class:`RadialFamily` returns a scalar per state and ``base = x``.
         """
-        x = np.asarray(x, dtype=float)
-        a = np.asarray(alpha, dtype=float)
-        base = (self.resolvent(t, alpha, x) - x) / (a[..., None] if a.ndim else a)
+        base = self.yosida(t, alpha, x)
         return np.ones(base.shape[:-1]), base
 
     def yosida(self, t, alpha, x):
-        return (self.resolvent(t, alpha, x) - x) / alpha
+        return (self.resolvent(t, alpha, x) - x) / alpha_column(alpha)
 
     def bound(self, r):
         raise NotImplementedError
@@ -314,9 +318,6 @@ class ZeroDrift(Drift):
 
     def resolvent(self, t, alpha, x):
         return np.asarray(x, dtype=float).copy()
-
-    def yosida(self, t, alpha, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
     def bound(self, r):
         return np.zeros_like(np.asarray(r, dtype=float))
@@ -372,8 +373,7 @@ class L1SubgradientDrift(Drift):
 
     def resolvent(self, t, alpha, x):
         x = np.asarray(x, dtype=float)
-        alpha = np.asarray(alpha, dtype=float)[..., None] if np.ndim(alpha) else alpha
-        return np.sign(x) * np.maximum(np.abs(x) - alpha, 0.0)
+        return np.sign(x) * np.maximum(np.abs(x) - alpha_column(alpha), 0.0)
 
     def bound(self, r):
         r = np.asarray(r, dtype=float)
@@ -485,7 +485,4 @@ def resolvent_residual(drift: Drift, t, alpha, x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     j = drift.resolvent(t, alpha, x)
-    alpha_col = np.asarray(alpha, dtype=float)
-    if alpha_col.ndim:
-        alpha_col = alpha_col[..., None]
-    return norm(j - alpha_col * drift.minimal_section(t, j) - x)
+    return norm(j - alpha_column(alpha) * drift.minimal_section(t, j) - x)

@@ -248,10 +248,10 @@ def stage_sweep(state: RunState):
     state.add(Check("pseudoweak.candidate_near_finest",
                     dist <= 2.0 * finest + 1e-12, 2.0 * finest + 1e-12 - dist,
                     f"dist={dist:.3g} finest_gap={finest:.3g} clamps={clamps}"))
+    steps = list(zip(gap_seq, gap_seq[1:]))
     state.add(Check("pseudoweak.gap_sequence_decreasing",
-                    all(g2 <= g1 * 1.5 + 1e-9
-                        for g1, g2 in zip(gap_seq, gap_seq[1:])),
-                    gap_seq[0] - gap_seq[-1],
+                    all(g2 <= g1 * 1.5 + 1e-9 for g1, g2 in steps),
+                    min(g1 * 1.5 + 1e-9 - g2 for g1, g2 in steps),
                     " -> ".join(f"{g:.2e}" for g in gap_seq)))
     state.candidate = candidate
 
@@ -289,7 +289,8 @@ def stage_phi(state: RunState):
             state.add(Check(f"phi.bound_candidate_{tag}{w.name}",
                             bound_gate(rep.violations, rep.worst_margin),
                             rep.worst_margin,
-                            f"{rep.violations} violations on candidate"))
+                            f"{rep.violations} violations on candidate, "
+                            f"{rep.overflow_nodes} overflow nodes"))
 
     if not cfg.weights:
         return
@@ -329,7 +330,8 @@ def stage_phi(state: RunState):
                [kinds, *np.array(triples).T, [e.value for e in ests],
                 ["" if e.closed_form is None else e.closed_form for e in ests],
                 [e.u_argmax for e in ests]])
-    state.add(Check("phi.constant_dominates", worst_excess <= 1e-9, -worst_excess,
+    state.add(Check("phi.constant_dominates", worst_excess <= 1e-9,
+                    1e-9 - worst_excess,
                     f"max relative excess {worst_excess:.2e}"))
     state.add(Check("phi.closed_forms", closed_bad == 0, -closed_bad,
                     f"{closed_bad} mismatches"))
@@ -406,12 +408,9 @@ def stage_psi(state: RunState):
     tabfn = TabulatedTail(tt.y, tt.p_upper)
 
     bump = build_bump_weight(tt.y, tt.p_upper)
-    rep_bump = check_weight_integral(bump, tabfn, float(tt.y[-1]),
-                                     series_bound=bump.series_bound)
-    state.add(Check("psi.bump_integral_finite", rep_bump.passed,
-                    rep_bump.bound - rep_bump.value,
-                    f"integral={rep_bump.value:.4g} knots={len(bump.knots)} "
-                    f"truncated={bump.truncated}"))
+    rep_bump = check_weight_integral(bump, tabfn, float(tt.y[-1]))
+    state.add(Check("psi.bump_integral_finite", rep_bump.passed, rep_bump.margin,
+                    f"integral={rep_bump.value:.4g} knots={len(bump.knots)}"))
 
     weights = {
         "closed_form": ClosedFormWeight(cfg.psi_delta),
@@ -429,9 +428,7 @@ def stage_psi(state: RunState):
         state.add(Check(f"psi.monotone_{name}", mono, 0.0, ""))
 
     rep_env = check_weight_integral(weights["envelope"], tabfn, float(tt.y[-1]))
-    state.add(Check("psi.envelope_integral", rep_env.passed,
-                    rep_env.bound * (1 + 1e-3) + rep_env.tail_remainder
-                    - rep_env.value,
+    state.add(Check("psi.envelope_integral", rep_env.passed, rep_env.margin,
                     f"integral={rep_env.value:.4f} bound={rep_env.bound:.4f}"))
 
     growth = getattr(cfg.drift, "growth", None)

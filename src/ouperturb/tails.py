@@ -164,11 +164,11 @@ class BumpSumWeight(UIWeight):
     Each bump ramps up on ``[y_k, y_k+1]``, sits at one on ``[y_k+1, y_k+2]``
     and ramps down on ``[y_k+2, y_k+3]``; each contributes mass 2 to the
     integral, so the weight is increasing, continuous and unbounded as knots
-    accumulate.  ``truncated`` is the stop flag of :func:`build_bump_weight`.
+    accumulate.  :func:`check_weight_integral` bounds its integral by
+    :attr:`series_bound`.
     """
 
     knots: tuple
-    truncated: bool
 
     def deriv(self, y):
         y = np.asarray(y, dtype=float)
@@ -201,30 +201,24 @@ def build_bump_weight(p_y, p_vals, max_knots: int = 64) -> BumpSumWeight:
     """Greedy knot placement: smallest tabulated ``y`` with ``p <= 1/k^2``,
     spaced at least 3 apart.
 
-    The construction stops (flagged ``truncated``) when the table never drops
-    below the next ``1/k^2`` threshold within the float-sane range.
+    The construction stops at the first ``k`` whose ``1/k^2`` the table never
+    drops to, at the first knot whose support would leave the float-sane
+    range, or after ``max_knots`` knots; ``knots`` says where it stopped.
     """
     p_y = np.asarray(p_y, dtype=float)
     p_vals = np.asarray(p_vals, dtype=float)
     knots = []
     prev = -np.inf
-    truncated = False
-    k = 1
-    while k <= max_knots:
+    for k in range(1, max_knots + 1):
         ok = np.nonzero(p_vals <= 1.0 / k**2)[0]
         if ok.size == 0:
-            truncated = True
             break
         yk = max(float(p_y[ok[0]]), prev + 3.0)
         if yk + 3.0 > FLOAT_SANE_Y or yk + 3.0 == yk:
-            truncated = True
             break
         knots.append(yk)
         prev = yk
-        k += 1
-    if k > max_knots:
-        truncated = True
-    return BumpSumWeight(tuple(knots), truncated)
+    return BumpSumWeight(tuple(knots))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
@@ -307,20 +301,27 @@ class IntegralReport:
     value: float
     bound: float
     tail_remainder: float
-    passed: bool
+    margin: float  # the verdict's slacked bound minus the value, or -inf
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.margin >= 0)
 
 
-def weight_tail_integral(weight: UIWeight, p_fn, y_max: float) -> float:
-    """Trapezoid quadrature of ``int Psi'(y) p(y) dy`` from ``1e-9`` to
-    ``y_max``: 512 linear nodes below 1, then 20000 log-spaced ones.
+def check_weight_integral(weight: UIWeight, p_fn, y_max: float) -> IntegralReport:
+    """Certify finiteness of ``int Psi'(y) p(y) dy`` up to ``y_max``.
 
-    Bump weights are integrated per bump with the Gauss rule instead, since a
-    log grid cannot resolve unit-width plateaus at large ``y``.  A non-finite
-    integrand value is kept, so it makes the integral non-finite and
-    :func:`check_weight_integral` fail.
+    The weight's type picks the rule.  A :class:`BumpSumWeight` is integrated
+    per bump with the Gauss rule (a log grid misses unit-width plateaus at
+    large ``y``) and bounded by its ``series_bound`` up to a 1e-9 relative
+    slack.  Any other weight gets the trapezoid rule on 512 linear nodes below
+    1, then 20000 log-spaced ones, and the envelope bound ``sqrt(p(0))`` up to
+    a 1e-3 slack plus the remainder ``sqrt(p(y_max))``.  A non-finite
+    integral (NaN integrands are kept) has margin ``-inf`` and fails.
     """
+    remainder = float(np.sqrt(np.asarray(p_fn(np.asarray(y_max)))))
     if isinstance(weight, BumpSumWeight):
-        total = 0.0
+        val = 0.0
         for yk in weight.knots:
             if yk >= y_max:
                 break
@@ -328,34 +329,20 @@ def weight_tail_integral(weight: UIWeight, p_fn, y_max: float) -> float:
             mid = 0.5 * (yk + hi)
             half = 0.5 * (hi - yk)
             s = mid + half * _GL_NODES
-            total += float(np.sum(weight.deriv(s) * np.asarray(p_fn(s))
-                                  * _GL_WEIGHTS) * half)
-        return total
-    grid = np.concatenate([np.linspace(1e-9, 1.0, 512, endpoint=False),
-                           np.geomspace(1.0, y_max, 20000)])
-    f = weight.deriv(grid) * np.asarray(p_fn(grid))
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapezoid(f, grid))
-
-
-def check_weight_integral(weight: UIWeight, p_fn, y_max: float,
-                          series_bound: float | None = None) -> IntegralReport:
-    """Certify finiteness of the tail integral.
-
-    Given ``series_bound`` (a bump weight's :attr:`BumpSumWeight.series_bound`),
-    the integral must be finite and stay below it.  Otherwise the weight is
-    taken to respect the envelope ``1/sqrt(p)``: the integral must stay below
-    ``sqrt(p(0))`` up to a 1e-3 slack plus the remainder bound
-    ``sqrt(p(y_max))``.  A NaN integral fails either check.
-    """
-    val = weight_tail_integral(weight, p_fn, y_max)
-    remainder = float(np.sqrt(np.asarray(p_fn(np.asarray(y_max)))))
-    if series_bound is not None:
-        passed = bool(np.isfinite(val)) and val <= series_bound * (1.0 + 1e-9)
-        return IntegralReport(val, float(series_bound), remainder, passed)
-    bound = float(np.sqrt(np.asarray(p_fn(np.asarray(0.0)))))
-    return IntegralReport(val, bound, remainder,
-                          val <= bound * (1.0 + 1e-3) + remainder)
+            val += float(np.sum(weight.deriv(s) * np.asarray(p_fn(s))
+                                * _GL_WEIGHTS) * half)
+        bound = weight.series_bound
+        slacked = bound * (1.0 + 1e-9)
+    else:
+        grid = np.concatenate([np.linspace(1e-9, 1.0, 512, endpoint=False),
+                               np.geomspace(1.0, y_max, 20000)])
+        f = weight.deriv(grid) * np.asarray(p_fn(grid))
+        trapezoid = getattr(np, "trapezoid", None) or np.trapz
+        val = float(trapezoid(f, grid))
+        bound = float(np.sqrt(np.asarray(p_fn(np.asarray(0.0)))))
+        slacked = bound * (1.0 + 1e-3) + remainder
+    return IntegralReport(val, float(bound), remainder,
+                          slacked - val if np.isfinite(val) else -np.inf)
 
 
 # ---------------------------------------------------------------------------

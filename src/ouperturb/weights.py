@@ -65,8 +65,6 @@ class WeightFunction:
     def deriv(self, u):
         u = np.asarray(u, dtype=float)
         if self.kind == "power":
-            if self.p == 1:
-                return np.ones_like(u)
             return self.p * np.power(u, self.p - 1.0)
         if self.kind == "exponential":
             with np.errstate(over="ignore"):

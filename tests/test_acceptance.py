@@ -502,12 +502,11 @@ def test_c7_bump_on_empirical_tail(eng_full):
 
     wt = build_bump_weight(tt.y, tt.p_upper)
     rep = check_weight_integral(wt, TabulatedTail(tuple(tt.y), tuple(tt.p)),
-                                float(tt.y[-1]),
-                                series_bound=wt.series_bound)
+                                float(tt.y[-1]))
     announce(bool(rep.passed) and np.isfinite(rep.value),
              "criterion 7b bump weight on the empirical cubic tail",
              f"integral={rep.value:.4g} <= series {wt.series_bound:.4g}, "
-             f"{len(wt.knots)} knots, truncated={wt.truncated}")
+             f"{len(wt.knots)} knots")
 
 
 def test_c7_two_route_and_stability(eng_full):

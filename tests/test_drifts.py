@@ -214,7 +214,8 @@ FACTORED = {
 def test_factored_yosida_matches_definition(name, t):
     # coef[..., None] * base against yosida = (resolvent - x)/alpha, row by
     # row at scalar alpha, for the (A, 1) alpha column against (B, d) source
-    # states and (A, B, d) stacked states, with rows at r = 0.  Both forms
+    # states and (A, B, d) stacked states, with rows at r = 0.  yosida itself
+    # takes the column too, bit for bit as the row-by-row calls.  Both forms
     # take the same resolvent factor s/r (the same solve on the same
     # (alpha, r)); they differ only in the last roundings.  The definition
     # loses up to ulp(|x|) in J = (s/r) x and again in J - x, and the
@@ -237,9 +238,12 @@ def test_factored_yosida_matches_definition(name, t):
             assert base is x
         got = coef[..., None] * base
         assert got.shape == (A, B, d)
+        col = drift.yosida(t, alpha, x)
+        assert col.shape == (A, B, d)
         for i, a in enumerate(alpha[:, 0]):
             xi = x[i] if x.ndim == 3 else x
             want = drift.yosida(t, a, xi)
+            assert np.array_equal(col[i], want), (name, a)
             tol = 8 * eps * np.linalg.norm(xi, axis=-1, keepdims=True) / a
             assert np.all(np.abs(got[i] - want) <= tol), (name, a)
             assert np.array_equal(got[i][::7], np.zeros_like(got[i][::7]))

@@ -543,6 +543,58 @@ def test_nan_margin_fails_bound_gates(cached_state):
     assert "1 violations" in checks["phi.bound_candidate_derived_power2"].detail
 
 
+def sweep_candidate(base):
+    """The weak-limit candidate that ``stage_sweep`` keeps for phi-check."""
+    sweep = make_state(base.cfg, out=base.out, n_workers=1, quiet=True)
+    sweep.result = base.result
+    stage_sweep(sweep)
+    return sweep.candidate
+
+
+def test_constant_dominates_margin_uses_the_verdict_floor(cached_state,
+                                                          monkeypatch):
+    # a relative excess inside the verdict's 1e-9 floor passes, and its
+    # margin is the room left below that floor, so it is not negative
+    real = harness.estimate_constant
+
+    def low(w, *triples):
+        return [replace(e, value=e.value * (1 - 5e-10)) for e in real(w, *triples)]
+    monkeypatch.setattr(harness, "estimate_constant", low)
+    row = run_stage(cached_state, stage_phi, cached_state.result,
+                    sweep_candidate(cached_state))["phi.constant_dominates"]
+    assert row.passed and 0 <= row.margin < 1e-9, row
+
+
+def test_gap_sequence_margin_uses_the_per_step_rule(cached_state, monkeypatch):
+    # each step may grow the max gap to 1.5 times plus 1e-9; the margin is
+    # the room of the tightest step, not the first gap minus the last
+    gaps = iter([1e-3, 1.4e-3, 1.9e-3])
+    real = harness.weak_gap
+    monkeypatch.setattr(harness, "weak_gap",
+                        lambda *args: replace(real(*args), max_gap=next(gaps)))
+    row = run_stage(cached_state, stage_sweep, cached_state.result)[
+        "pseudoweak.gap_sequence_decreasing"]
+    assert row.detail == "1.00e-03 -> 1.40e-03 -> 1.90e-03"
+    assert row.passed and row.margin == pytest.approx(1e-4 + 1e-9, rel=1e-9)
+
+
+def test_candidate_rows_report_overflow_nodes(cached_state):
+    # each candidate row counts the nodes where a side of the bound overflows
+    res = cached_state.result
+    candidate = sweep_candidate(cached_state)
+    rows = lambda checks: {k: c for k, c in checks.items()
+                           if k.startswith("phi.bound_candidate_")}
+    clean = rows(run_stage(cached_state, stage_phi, res, candidate))
+    assert len(clean) == 2
+    assert all(c.detail.endswith(" 0 overflow nodes") for c in clean.values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = rows(run_stage(cached_state, stage_phi, res,
+                             np.full_like(candidate, 1e200)))
+    for c in big.values():
+        assert not c.passed and int(c.detail.split(", ")[1].split()[0]) > 0, c
+
+
 def test_unstable_fernique_rows_fail_with_negative_margin(cached_state):
     # the margin is the distance of the most stable finite row below the
     # stability threshold: one large maximum among zeros makes every finite

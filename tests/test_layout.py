@@ -83,6 +83,46 @@ def test_linalg_norm_only_at_allowed_sites():
         "stale allowlist entries"
 
 
+def ndim_guarded_columns(source: str) -> list:
+    """``(enclosing function, line)`` of each ``[..., None]`` subscript in a
+    branch of an ``if`` statement or conditional expression whose test reads
+    ``ndim``: a scalar-or-column alpha made to broadcast against states."""
+    tree = ast.parse(source)
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.If, ast.IfExp)) and "ndim" in ast.unparse(node.test):
+            for part in (node.body, node.orelse):
+                for sub in (n for stmt in (part if isinstance(part, list) else [part])
+                            for n in ast.walk(stmt)):
+                    if isinstance(sub, ast.Subscript) \
+                            and ast.unparse(sub.slice) == "(..., None)":
+                        lines.add(sub.lineno)
+    funcs = [f for f in ast.walk(tree)
+             if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+    def where(line):
+        inner = [f for f in funcs if f.lineno <= line <= f.end_lineno]
+        return max(inner, key=lambda f: f.lineno).name if inner else "<module>"
+    return [(where(line), line) for line in sorted(lines)]
+
+
+def test_ndim_guarded_columns_detected():
+    src = ("def f(a, x):\n    c = a[..., None] if a.ndim else a\n"
+           "    if np.ndim(a):\n        a = a[..., None]\n    return x[..., None]\n"
+           "def g(a):\n    return a if not a.ndim else a[..., None]\n")
+    assert ndim_guarded_columns(src) == [("f", 2), ("f", 4), ("g", 7)]
+
+
+def test_alpha_column_formed_once():
+    # every drift map that takes a scalar or a column alpha calls
+    # drifts.alpha_column instead of forming the column itself
+    found = [(path.stem, where, line) for path in sorted(PACKAGE.glob("*.py"))
+             for where, line in ndim_guarded_columns(path.read_text())]
+    assert [(m, w) for m, w, _ in found] == [("drifts", "alpha_column")], \
+        "ndim-guarded [..., None] outside drifts.alpha_column:\n" + "\n".join(
+            f"{m}.py:{line} in {w}" for m, w, line in found)
+
+
 # the dataclass fields that may hold None, as (module, class, field); every
 # other report field has one type.  EstimateConstant.closed_form is None where
 # no closed form is known, which writes the empty cell of lemma_constants.csv

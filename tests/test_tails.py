@@ -9,8 +9,8 @@ from ouperturb import (BumpSumWeight, ClosedFormWeight, EnvelopeWeight,
                        build_bump_weight, check_weight_integral, tail_table,
                        validate_model, wilson_interval)
 from ouperturb.engine import EnsembleTasks, run_ensemble
-from ouperturb.tails import (admissibility_chain_fit, admissible_y_start,
-                             level_for_y, p0_from_counts, weight_tail_integral)
+from ouperturb.tails import (FLOAT_SANE_Y, admissibility_chain_fit,
+                             admissible_y_start, level_for_y, p0_from_counts)
 from oracle import IdentityWeight
 
 
@@ -95,11 +95,29 @@ def test_bump_knots_on_inverse_tail():
     assert vals[-1] == pytest.approx(2.0 * len(wt.knots), rel=1e-9)
 
 
+def test_bump_construction_stops():
+    # build_bump_weight stops in one of three ways, and knots says where
+    y = np.geomspace(1.0, 1e4, 6000)
+    # max_knots reached: p = 1/y^2 drops below every 1/k^2 (at y = k)
+    for cap in (8, 9):
+        wt = build_bump_weight(y, 1.0 / y**2, max_knots=cap)
+        assert isinstance(wt, BumpSumWeight) and len(wt.knots) == cap
+    # the table never drops low enough: p = 0.1 is below 1/k^2 for k <= 3 only
+    wt = build_bump_weight(y, np.full_like(y, 0.1), max_knots=8)
+    assert wt.knots == (1.0, 4.0, 7.0)
+    # the float-sane limit: a knot whose support would pass FLOAT_SANE_Y is
+    # not placed, one whose support ends on it is
+    p = [1.0, 1e-6]
+    assert build_bump_weight([1.0, FLOAT_SANE_Y], p).knots == (1.0,)
+    assert build_bump_weight([1.0, FLOAT_SANE_Y - 3.0], p).knots == \
+        (1.0, FLOAT_SANE_Y - 3.0)
+
+
 def test_bump_integral_below_series_bound():
     y = np.geomspace(1.0, 1e6, 4000)
     p_fn = lambda s: np.minimum(1.0, 1.0 / np.maximum(np.asarray(s, float), 1e-300))
     wt = build_bump_weight(y, 1.0 / y)
-    rep = check_weight_integral(wt, p_fn, 1e6, series_bound=wt.series_bound)
+    rep = check_weight_integral(wt, p_fn, 1e6)
     assert rep.passed
     assert rep.value <= np.pi**2 / 2.0
 
@@ -110,16 +128,14 @@ def test_bump_integral_fails_closed_on_nan():
     y = np.geomspace(1.0, 1e6, 4000)
     p = np.minimum(1.0, 1.0 / y)
     wt = build_bump_weight(y, p)
-    rep = check_weight_integral(wt, TabulatedTail(y, p), 1e6,
-                                series_bound=wt.series_bound)
+    rep = check_weight_integral(wt, TabulatedTail(y, p), 1e6)
     assert rep.passed is True
     assert isinstance(rep.bound, float) and np.isfinite(rep.bound)
     yk = wt.knots[2]
     i = int(np.nonzero((y > yk + 1.0) & (y < yk + 2.0))[0][0])
     bad = p.copy()
     bad[i] = np.nan
-    rep = check_weight_integral(wt, TabulatedTail(y, bad), 1e6,
-                                series_bound=wt.series_bound)
+    rep = check_weight_integral(wt, TabulatedTail(y, bad), 1e6)
     assert np.isnan(rep.value)
     assert rep.passed is False
     assert isinstance(rep.bound, float) and np.isfinite(rep.bound)
@@ -179,6 +195,25 @@ def test_envelope_integral_fails_closed_on_nan():
     assert not rep.passed
 
 
+def test_weight_integral_fails_closed_on_minus_inf():
+    # a -inf integral lies below every bound; both rules must fail it
+    y = np.geomspace(1.0, 1e5, 500)
+    p = np.minimum(1.0, 1.0 / y)
+    tab = TabulatedTail(y, p)
+
+    def p_fn(s):
+        out = np.array(tab(s), dtype=float)
+        if out.size > 1:
+            out.flat[out.size // 2] = -np.inf
+        return out
+
+    for wt in (EnvelopeWeight(tab), build_bump_weight(y, p)):
+        rep = check_weight_integral(wt, p_fn, 1e5)
+        assert rep.value == -np.inf and rep.margin == -np.inf
+        assert rep.passed is False
+        assert check_weight_integral(wt, tab, 1e5).passed
+
+
 def test_mollified_constant_tail():
     tab = TabulatedTail((0.0, 100.0), (0.25, 0.25))
     w = MollifiedWeight(tab, delta=0.3)
@@ -203,8 +238,8 @@ def test_mollified_converges_to_envelope():
 def test_identity_weight_probe():
     w = IdentityWeight()
     assert np.array_equal(w.value(np.array([0.0, 2.0])), [0.0, 2.0])
-    assert weight_tail_integral(w, lambda s: np.exp(-np.asarray(s, float)),
-                                50.0) == pytest.approx(1.0, abs=1e-4)
+    assert check_weight_integral(w, lambda s: np.exp(-np.asarray(s, float)),
+                                 50.0).value == pytest.approx(1.0, abs=1e-4)
 
 
 # ---------------------------------------------------------------------------
